@@ -173,7 +173,7 @@ void BM_EuclideanSegmentDistanceLowerBound(benchmark::State& state) {
 }
 BENCHMARK(BM_EuclideanSegmentDistanceLowerBound);
 
-// --- Batched one-vs-many kernels (distance/batch_kernels.h). -------------
+// --- One-query rows through the tile faces (distance/batch_kernels.h). ---
 // The grouping workload underneath all of these: one query segment against
 // the full 1024-segment pool at a typical grouping ε (world 100×100,
 // lengths 0.5–10, ε = 5 keeps roughly the densities the §5 experiments
@@ -184,29 +184,30 @@ BENCHMARK(BM_EuclideanSegmentDistanceLowerBound);
 
 constexpr double kRefineEps = 5.0;
 
-// One full one-vs-all row through the scalar batch kernel.
-void BM_DistanceBatchScalar(benchmark::State& state) {
+// One full one-vs-all row through DistanceTile's scalar kernel.
+void BM_DistanceTileRowScalar(benchmark::State& state) {
   const auto& store = StorePool();
   const distance::SegmentDistance dist;
   std::vector<double> out(store.size());
   size_t q = 0;
   for (auto _ : state) {
-    distance::DistanceBatchRange(
-        store, dist, q % store.size(), 0, store.size(),
-        common::Span<double>(out.data(), out.size()),
-        distance::BatchKernel::kScalar);
+    const size_t query = q % store.size();
+    distance::DistanceTile(dist, store, common::Span<const size_t>(&query, 1),
+                           store, distance::Candidates::Range(0, store.size()),
+                           out.data(), out.size(),
+                           distance::BatchKernel::kScalar);
     benchmark::DoNotOptimize(out.data());
     ++q;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(store.size()));
 }
-BENCHMARK(BM_DistanceBatchScalar);
+BENCHMARK(BM_DistanceTileRowScalar);
 
 // Same row through the AVX2 lanes (bit-identical results; only throughput
 // differs). Skipped — loudly — in binaries built without -mavx2 so the CI
 // history distinguishes "not compiled" from "slow".
-void BM_DistanceBatchSimd(benchmark::State& state) {
+void BM_DistanceTileRowSimd(benchmark::State& state) {
   if (!distance::SimdCompiled()) {
     state.SkipWithError("AVX2 kernels not compiled (build with TRACLUS_AVX2)");
     return;
@@ -216,17 +217,18 @@ void BM_DistanceBatchSimd(benchmark::State& state) {
   std::vector<double> out(store.size());
   size_t q = 0;
   for (auto _ : state) {
-    distance::DistanceBatchRange(
-        store, dist, q % store.size(), 0, store.size(),
-        common::Span<double>(out.data(), out.size()),
-        distance::BatchKernel::kSimd);
+    const size_t query = q % store.size();
+    distance::DistanceTile(dist, store, common::Span<const size_t>(&query, 1),
+                           store, distance::Candidates::Range(0, store.size()),
+                           out.data(), out.size(),
+                           distance::BatchKernel::kSimd);
     benchmark::DoNotOptimize(out.data());
     ++q;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(store.size()));
 }
-BENCHMARK(BM_DistanceBatchSimd);
+BENCHMARK(BM_DistanceTileRowSimd);
 
 // The per-pair cached path every ε-query consumer ran before the batch
 // layer: full distance for every candidate, then the ≤ ε test.
@@ -249,8 +251,8 @@ void BM_EpsilonRefinePairLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_EpsilonRefinePairLoop);
 
-// The batched ε-refine (identical output): midpoint/half-length prune, then
-// blocked batch evaluation of the survivors. Arg 0 = scalar, 1 = SIMD.
+// The tiled ε-refine (identical output) for one query: midpoint/half-length
+// prune, then blocked evaluation of the survivors. Arg 0 = scalar, 1 = SIMD.
 // Reports the prune rate so the CI history tracks bound quality, not just
 // wall time.
 void BM_EpsilonRefineBatch(benchmark::State& state) {
@@ -261,17 +263,18 @@ void BM_EpsilonRefineBatch(benchmark::State& state) {
   }
   const auto& store = StorePool();
   const distance::SegmentDistance dist;
-  distance::BatchOptions options;
-  options.kernel =
+  const distance::BatchKernel kernel =
       simd ? distance::BatchKernel::kSimd : distance::BatchKernel::kScalar;
   std::vector<size_t> out;
   distance::RefineStats stats;
   size_t q = 0;
   for (auto _ : state) {
     out.clear();
-    distance::EpsilonRefineRange(store, dist, q % store.size(), 0,
-                                 store.size(), kRefineEps, out, options,
-                                 &stats);
+    const size_t query = q % store.size();
+    distance::EpsilonRefineTile(
+        dist, store, common::Span<const size_t>(&query, 1), store,
+        distance::Candidates::Range(0, store.size()), kRefineEps, &out,
+        kernel, &stats);
     benchmark::DoNotOptimize(out.data());
     ++q;
   }
@@ -318,13 +321,14 @@ BENCHMARK(BM_PairwiseDistanceMatrixStoreCached)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // --- Tiled vs row-batched matrix fill (many-vs-many tiles). --------------
-// RowBatchedPairwiseMatrix reproduces the pre-tile PairwiseDistanceMatrix
-// loop — one DistanceBatchRange per row plus a strided full-column mirror —
-// as the fixed baseline of the tiled fill. The headline ratio
-// BM_PairwiseMatrixRowBatched* / BM_PairwiseMatrixTiled* (same kernel, same
-// thread count) is the tile speedup tracked per commit in the CI JSON
-// artifact. Entries are bit-identical between the two fills (pinned in
-// tests/segment_distance_test.cc), so the ratio is pure throughput.
+// RowBatchedPairwiseMatrix is the ablation of the tiled fill: one
+// single-row DistanceTile per row plus a strided full-column mirror, so every
+// row streams all candidate columns instead of a cache-resident block. The
+// headline ratio BM_PairwiseMatrixRowBatched* / BM_PairwiseMatrixTiled*
+// (same kernel, same thread count) is the tile speedup tracked per commit in
+// the CI JSON artifact. Entries are bit-identical between the two fills
+// (pinned in tests/segment_distance_test.cc), so the ratio is pure
+// throughput.
 
 common::Matrix RowBatchedPairwiseMatrix(const traj::SegmentStore& store,
                                         const distance::SegmentDistance& dist,
@@ -335,9 +339,9 @@ common::Matrix RowBatchedPairwiseMatrix(const traj::SegmentStore& store,
   pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       if (i + 1 >= n) continue;
-      distance::DistanceBatchRange(
-          store, dist, i, i + 1, n,
-          common::Span<double>(&m(i, i + 1), n - i - 1), kernel);
+      distance::DistanceTile(dist, store, common::Span<const size_t>(&i, 1),
+                             store, distance::Candidates::Range(i + 1, n),
+                             &m(i, i + 1), n - i - 1, kernel);
       for (size_t j = i + 1; j < n; ++j) m(j, i) = m(i, j);
     }
   });

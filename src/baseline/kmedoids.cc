@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -13,7 +15,7 @@ namespace {
 
 /// Rows per fill tile: each tile hands the filler a contiguous
 /// kFillTileRows × column-stripe block so tile-capable distance sources
-/// (distance::DistanceTileRange) reuse candidate columns across the rows.
+/// (distance::DistanceTile) reuse candidate columns across the rows.
 /// Only the tile's sub-diagonal corner (≤ kFillTileRows²/2 entries) is
 /// evaluated without being used.
 constexpr size_t kFillTileRows = 16;
@@ -178,8 +180,11 @@ KMedoidsResult KMedoidsOverSegments(const traj::SegmentStore& store,
       store.size(),
       [&store, &dist, kernel](size_t i_begin, size_t i_end, size_t j_begin,
                               size_t j_end, double* out, size_t ldo) {
-        distance::DistanceTileRange(store, dist, i_begin, i_end, j_begin,
-                                    j_end, out, ldo, kernel);
+        std::vector<size_t> rows(i_end - i_begin);
+        std::iota(rows.begin(), rows.end(), i_begin);
+        distance::DistanceTile(dist, store, rows, store,
+                               distance::Candidates::Range(j_begin, j_end),
+                               out, ldo, kernel);
       },
       config);
 }

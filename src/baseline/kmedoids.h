@@ -45,7 +45,7 @@ using KMedoidsRowFill =
 /// Tiled matrix-fill callback: writes dist(i, j) for every i in
 /// [i_begin, i_end) and j in [j_begin, j_end) into
 /// out[(i − i_begin) * ldo + (j − j_begin)] — the many-vs-many shape of
-/// distance::DistanceTileRange, which lets the segment-store kernels reuse
+/// distance::DistanceTile, which lets the segment-store kernels reuse
 /// each candidate block across all rows of the tile.
 using KMedoidsTileFill =
     std::function<void(size_t i_begin, size_t i_end, size_t j_begin,
@@ -80,7 +80,7 @@ KMedoidsResult KMedoids(size_t n, const KMedoidsTileFill& tile_fill,
 
 /// k-medoids over the segments of a SegmentStore with the §2.3 TRACLUS
 /// distance: the matrix fill streams through the many-vs-many tile kernel
-/// (distance::DistanceTileRange) instead of the pair-at-a-time path.
+/// (distance::DistanceTile) instead of the pair-at-a-time path.
 /// `kernel` selects scalar/SIMD; assignments are identical for every choice
 /// (the kernels are bit-identical).
 KMedoidsResult KMedoidsOverSegments(

@@ -31,6 +31,29 @@ std::shared_ptr<const traj::SegmentStore> PinChunk(
   return *std::move(chunk);
 }
 
+// Refines query_index against the candidates of chunk c (chunk-local
+// indices) and appends the accepted ones as global indices. The query's own
+// chunk passes the query store itself as the candidate store, so the tile
+// loop applies Definition 4 self-inclusion exactly there.
+void RefineChunk(const traj::ChunkedSegmentStore& store,
+                 const distance::SegmentDistance& dist,
+                 distance::BatchKernel kernel,
+                 const traj::SegmentStore& query_store, size_t query_local,
+                 size_t query_chunk, size_t c,
+                 distance::Candidates candidates, double eps,
+                 std::vector<size_t>* out) {
+  std::shared_ptr<const traj::SegmentStore> pinned;
+  if (c != query_chunk) pinned = PinChunk(store, c);
+  const traj::SegmentStore& cand_store =
+      c == query_chunk ? query_store : *pinned;
+  const size_t before = out->size();
+  distance::EpsilonRefineTile(dist, query_store,
+                              common::Span<const size_t>(&query_local, 1),
+                              cand_store, candidates, eps, out, kernel);
+  const size_t base = store.chunk_begin(c);
+  for (size_t k = before; k < out->size(); ++k) (*out)[k] += base;
+}
+
 }  // namespace
 
 ChunkedGridNeighborhood::ChunkedGridNeighborhood(
@@ -145,11 +168,9 @@ std::vector<size_t> ChunkedGridNeighborhood::Neighbors(
   TRACLUS_DCHECK(query_index < store_.size());
   const double factor = dist_.LowerBoundFactor();
   std::vector<size_t> out;
-  distance::BatchOptions refine_options;
-  refine_options.kernel = kernel_;
 
   const size_t query_chunk = store_.chunk_of(query_index);
-  const size_t query_base = store_.chunk_begin(query_chunk);
+  const size_t query_local = query_index - store_.chunk_begin(query_chunk);
   const std::shared_ptr<const traj::SegmentStore> query_store =
       PinChunk(store_, query_chunk);
 
@@ -157,21 +178,10 @@ std::vector<size_t> ChunkedGridNeighborhood::Neighbors(
     // No usable lower bound: full scan, chunks in ascending order — the same
     // ascending emission order as the monolithic whole-range refine.
     for (size_t c = 0; c < store_.num_chunks(); ++c) {
-      const size_t base = store_.chunk_begin(c);
-      const size_t m = store_.chunk_size(c);
-      if (c == query_chunk) {
-        const size_t before = out.size();
-        distance::EpsilonRefineRange(*query_store, dist_,
-                                     query_index - query_base, 0, m, eps, out,
-                                     refine_options);
-        for (size_t k = before; k < out.size(); ++k) out[k] += base;
-        continue;
-      }
-      const std::shared_ptr<const traj::SegmentStore> chunk =
-          PinChunk(store_, c);
-      distance::EpsilonRefineCrossRange(*query_store, dist_,
-                                        query_index - query_base, *chunk, 0,
-                                        m, eps, base, out, refine_options);
+      RefineChunk(store_, dist_, kernel_, *query_store, query_local,
+                  query_chunk, c,
+                  distance::Candidates::Range(0, store_.chunk_size(c)), eps,
+                  &out);
     }
     return out;
   }
@@ -231,19 +241,8 @@ std::vector<size_t> ChunkedGridNeighborhood::Neighbors(
     }
     local.clear();
     for (size_t m = k; m < end; ++m) local.push_back(candidates[m] - base);
-    const common::Span<const size_t> span(local.data(), local.size());
-    if (c == query_chunk) {
-      const size_t before = out.size();
-      distance::EpsilonRefine(*query_store, dist_, query_index - query_base,
-                              span, eps, out, refine_options);
-      for (size_t m = before; m < out.size(); ++m) out[m] += base;
-    } else {
-      const std::shared_ptr<const traj::SegmentStore> chunk =
-          PinChunk(store_, c);
-      distance::EpsilonRefineCross(*query_store, dist_,
-                                   query_index - query_base, *chunk, span,
-                                   eps, base, out, refine_options);
-    }
+    RefineChunk(store_, dist_, kernel_, *query_store, query_local,
+                query_chunk, c, distance::Candidates::List(local), eps, &out);
     k = end;
   }
   std::sort(out.begin(), out.end());
@@ -254,27 +253,15 @@ std::vector<size_t> ChunkedBruteForceNeighborhood::Neighbors(
     size_t query_index, double eps) const {
   TRACLUS_DCHECK(query_index < store_.size());
   std::vector<size_t> out;
-  distance::BatchOptions refine_options;
-  refine_options.kernel = kernel_;
   const size_t query_chunk = store_.chunk_of(query_index);
-  const size_t query_base = store_.chunk_begin(query_chunk);
+  const size_t query_local = query_index - store_.chunk_begin(query_chunk);
   const std::shared_ptr<const traj::SegmentStore> query_store =
       PinChunk(store_, query_chunk);
   for (size_t c = 0; c < store_.num_chunks(); ++c) {
-    const size_t base = store_.chunk_begin(c);
-    const size_t m = store_.chunk_size(c);
-    if (c == query_chunk) {
-      const size_t before = out.size();
-      distance::EpsilonRefineRange(*query_store, dist_,
-                                   query_index - query_base, 0, m, eps, out,
-                                   refine_options);
-      for (size_t k = before; k < out.size(); ++k) out[k] += base;
-      continue;
-    }
-    const std::shared_ptr<const traj::SegmentStore> chunk = PinChunk(store_, c);
-    distance::EpsilonRefineCrossRange(*query_store, dist_,
-                                      query_index - query_base, *chunk, 0, m,
-                                      eps, base, out, refine_options);
+    RefineChunk(store_, dist_, kernel_, *query_store, query_local,
+                query_chunk, c,
+                distance::Candidates::Range(0, store_.chunk_size(c)), eps,
+                &out);
   }
   return out;
 }

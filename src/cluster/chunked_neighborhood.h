@@ -12,11 +12,10 @@
 //     heuristic and the same insertion order as GridNeighborhoodIndex over
 //     the merged store, so the cell population is identical.
 //   * Refinement faults payload chunks on demand: candidates are grouped by
-//     chunk, the query's own chunk refines through distance::EpsilonRefine
-//     (which owns the Definition 4 self-inclusion case), and every other
-//     chunk refines through distance::EpsilonRefineCross /
-//     EpsilonRefineCrossRange — the same blocked prune → batch pipeline,
-//     with cross-store scalar and AVX2 kernels. Chunk-local stores cache
+//     chunk and each group goes through distance::EpsilonRefineTile with the
+//     query's chunk store as the query store. The query's own chunk passes
+//     that same store as the candidate store, which is where the tile loop
+//     applies Definition 4 self-inclusion. Chunk-local stores cache
 //     bit-identical invariants, so each accepted/rejected decision — prune
 //     included — matches the monolithic refine bit-for-bit, and the final
 //     per-query sort makes the emitted order independent of chunk grouping.

@@ -1,5 +1,9 @@
 #include "cluster/neighbor_cache_file.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -46,6 +50,42 @@ bool ReadRaw(std::ifstream& in, T* v) {
 common::Status Corrupt(const std::string& path, const std::string& what) {
   return common::Status::InvalidArgument("corrupt neighbor cache file " +
                                          path + ": " + what);
+}
+
+// A temp name no other writer uses: the process id separates concurrent
+// runs, the counter separates writers inside one process.
+std::string UniqueTempPath(const std::string& path) {
+  static std::atomic<uint64_t> next{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(next.fetch_add(1));
+}
+
+// Scans the payload once and rejects any index ≥ n: serving one would send
+// the grouping phase out of bounds.
+common::Status CheckPayloadIndices(const std::string& path,
+                                   const NeighborCacheFileHeader& h) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return common::Status::IOError("cannot reopen " + path);
+  in.seekg(static_cast<std::streamoff>(h.payload_begin));
+  std::vector<uint64_t> block(4096);
+  for (uint64_t done = 0; done < h.total_indices;) {
+    const uint64_t count =
+        std::min<uint64_t>(block.size(), h.total_indices - done);
+    in.read(reinterpret_cast<char*>(block.data()),
+            static_cast<std::streamsize>(count * sizeof(uint64_t)));
+    if (!in.good()) {
+      return common::Status::IOError("unreadable payload in " + path);
+    }
+    for (uint64_t k = 0; k < count; ++k) {
+      if (block[k] >= h.n) {
+        return Corrupt(path, "payload index " + std::to_string(block[k]) +
+                                 " at entry " + std::to_string(done + k) +
+                                 " is not below n = " + std::to_string(h.n));
+      }
+    }
+    done += count;
+  }
+  return common::Status::OK();
 }
 
 }  // namespace
@@ -147,7 +187,7 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
                                       const NeighborhoodProvider& base,
                                       double eps, common::ThreadPool& pool) {
   const uint64_t n = base.size();
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = UniqueTempPath(path);
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
     return common::Status::IOError("cannot open " + tmp + " for writing");
@@ -202,7 +242,8 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
-    std::filesystem::remove(tmp, ec);
+    std::error_code remove_ec;
+    std::filesystem::remove(tmp, remove_ec);
     return common::Status::IOError("cannot move " + tmp + " into place: " +
                                    ec.message());
   }
@@ -226,11 +267,11 @@ FileNeighborhoodCache::Create(const NeighborhoodProvider& base,
   const std::string path = NeighborCacheFilePath(directory, key);
 
   auto header = LoadNeighborCacheFileHeader(path, key, store.size(), eps);
-  bool loaded = header.ok();
+  bool loaded = header.ok() && CheckPayloadIndices(path, *header).ok();
   if (!loaded) {
-    // Any load failure — missing, stale, truncated, corrupt — means the
-    // file cannot be served; recompute through the base provider and
-    // rewrite. Only a genuine write failure escapes.
+    // Any load failure — missing, stale, truncated, corrupt header or
+    // payload — means the file cannot be served; recompute through the base
+    // provider and rewrite. Only a genuine write failure escapes.
     TRACLUS_RETURN_NOT_OK(
         WriteNeighborCacheFile(path, key, base, eps, pool));
     header = LoadNeighborCacheFileHeader(path, key, store.size(), eps);

@@ -28,10 +28,12 @@
 // key and ε against the expected ones (stale → FailedPrecondition), the
 // exact file size implied by the header (truncated → IOError), and offset
 // monotonicity/bounds (corrupt → InvalidArgument); a missing file is
-// NotFound. A bad file is NEVER silently served — the caller decides
-// whether to recompute. Writes go to `path + ".tmp"` and rename into
-// place, so a crashed writer cannot leave a half-written file under the
-// live name.
+// NotFound. FileNeighborhoodCache::Create also scans the payload of a file
+// it loads and treats any index ≥ n as corrupt. A bad file is NEVER
+// silently served — the caller decides whether to recompute. Each writer
+// writes its own temp file (`path + ".tmp.<pid>.<counter>"`) and renames it
+// into place, so a crashed writer cannot leave a half-written file under
+// the live name and concurrent writers never share a temp file.
 
 #include <cstdint>
 #include <fstream>
@@ -81,7 +83,8 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
 
 /// Computes every ε-neighborhood through `base` (in bounded NeighborsBatch
 /// slices across `pool`) and writes the v1 file for `key` at `path`,
-/// atomically (tmp + rename). Overwrites an existing file.
+/// atomically (a temp file unique to this writer, then rename). Overwrites
+/// an existing file.
 common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
                                       const NeighborhoodProvider& base,
                                       double eps, common::ThreadPool& pool);

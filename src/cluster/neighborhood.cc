@@ -173,10 +173,9 @@ std::vector<size_t> BruteForceNeighborhood::Neighbors(size_t query_index,
   // prunes with the midpoint/half-length bound and refines the rest —
   // exactly the per-pair scan's output, in the same ascending order.
   std::vector<size_t> out;
-  distance::BatchOptions options;
-  options.kernel = kernel_;
-  distance::EpsilonRefineRange(store_, dist_, query_index, 0, store_.size(),
-                               eps, out, options);
+  distance::EpsilonRefineTile(
+      dist_, store_, common::Span<const size_t>(&query_index, 1), store_,
+      distance::Candidates::Range(0, store_.size()), eps, &out, kernel_);
   return out;
 }
 
@@ -184,18 +183,16 @@ std::vector<std::vector<size_t>> BruteForceNeighborhood::NeighborsBatch(
     const std::vector<size_t>& queries, double eps,
     common::ThreadPool& pool) const {
   std::vector<std::vector<size_t>> lists(queries.size());
-  distance::BatchOptions options;
-  options.kernel = kernel_;
   // Each chunk's queries share one ε-refine tile over the whole database;
   // lists land in index-addressed slots, so the batch is identical for every
   // thread count (the tile's staging is thread_local — nothing is shared).
   pool.ParallelForChunked(
-      0, queries.size(), [this, eps, &queries, &lists, &options](
-                             size_t lo, size_t hi) {
+      0, queries.size(), [this, eps, &queries, &lists](size_t lo, size_t hi) {
         distance::EpsilonRefineTile(
-            store_, dist_,
-            common::Span<const size_t>(queries.data() + lo, hi - lo), 0,
-            store_.size(), eps, lists.data() + lo, options);
+            dist_, store_,
+            common::Span<const size_t>(queries.data() + lo, hi - lo), store_,
+            distance::Candidates::Range(0, store_.size()), eps,
+            lists.data() + lo, kernel_);
       });
   return lists;
 }

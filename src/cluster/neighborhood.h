@@ -26,10 +26,10 @@ namespace traclus::cluster {
 ///
 /// Every provider follows the candidate-generate / refine split: the provider
 /// emits index candidates (everything for brute force; a geometrically
-/// pruned superset for the grid and R-tree indexes) and delegates the exact
-/// membership decision to the batched distance kernels
-/// (distance::EpsilonRefine), which lower-bound-prune and evaluate the §2.3
-/// distance bit-identically to the per-pair cached path. The kernel choice
+/// pruned superset for the grid index) and delegates the exact membership
+/// decision to the batched distance kernels (distance::EpsilonRefineTile),
+/// which lower-bound-prune and evaluate the §2.3 distance bit-identically to
+/// the per-pair cached path. The kernel choice
 /// (scalar / AVX2 SIMD) is a construction-time knob on each provider.
 class NeighborhoodProvider {
  public:
@@ -45,7 +45,7 @@ class NeighborhoodProvider {
   ///
   /// The default implementation fans `Neighbors` out over the pool and
   /// therefore requires `Neighbors` to be safe for concurrent calls (true for
-  /// the brute-force and R-tree providers, which keep no query-time state).
+  /// the brute-force provider, which keeps no query-time state).
   /// Providers with per-query scratch must override (see
   /// GridNeighborhoodIndex).
   virtual std::vector<std::vector<size_t>> AllNeighbors(

@@ -127,15 +127,15 @@ std::vector<size_t> GridNeighborhoodIndex::Neighbors(
   TRACLUS_DCHECK(query_index < store_.size());
   const double factor = dist_.LowerBoundFactor();
   std::vector<size_t> out;
-  distance::BatchOptions refine_options;
-  refine_options.kernel = kernel_;
+  const common::Span<const size_t> query(&query_index, 1);
 
   if (factor <= 0.0) {
     // No usable lower bound for this weight configuration: every segment is
     // a candidate; the kernel refines all of them (its prune uses the same
     // factor and disables itself).
-    distance::EpsilonRefineRange(store_, dist_, query_index, 0, store_.size(),
-                                 eps, out, refine_options);
+    distance::EpsilonRefineTile(dist_, store_, query, store_,
+                                distance::Candidates::Range(0, store_.size()),
+                                eps, &out, kernel_);
     return out;
   }
 
@@ -178,10 +178,9 @@ std::vector<size_t> GridNeighborhoodIndex::Neighbors(
       }
     }
   }
-  distance::EpsilonRefine(
-      store_, dist_, query_index,
-      common::Span<const size_t>(candidates.data(), candidates.size()), eps,
-      out, refine_options);
+  distance::EpsilonRefineTile(dist_, store_, query, store_,
+                              distance::Candidates::List(candidates), eps,
+                              &out, kernel_);
   std::sort(out.begin(), out.end());
   return out;
 }

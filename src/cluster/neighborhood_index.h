@@ -31,9 +31,9 @@ namespace traclus::cluster {
 /// invariants.
 ///
 /// Queries follow the candidate/refine split: the grid walk gathers deduped,
-/// MBR-pruned candidates into the scratch, and distance::EpsilonRefine prunes
-/// the rest with the midpoint/half-length bound before the blocked exact
-/// evaluation.
+/// MBR-pruned candidates into the scratch, and distance::EpsilonRefineTile
+/// prunes the rest with the midpoint/half-length bound before the blocked
+/// exact evaluation.
 class GridNeighborhoodIndex : public NeighborhoodProvider {
  public:
   /// Builds the index; `store` and `dist` must outlive it. Per-segment MBRs

@@ -88,11 +88,11 @@ OpticsResult OpticsSegments(const traj::SegmentStore& store,
       // self-pair zero mirrors the historical "i == j ? 0.0" short-circuit
       // (the kernel yields exactly +0.0 there as well).
       neighbor_dist.resize(neighbors.size());
-      distance::DistanceBatch(
-          store, dist, s.index,
-          common::Span<const size_t>(neighbors.data(), neighbors.size()),
-          common::Span<double>(neighbor_dist.data(), neighbor_dist.size()),
-          options.kernel);
+      distance::DistanceTile(dist, store,
+                             common::Span<const size_t>(&s.index, 1), store,
+                             distance::Candidates::List(neighbors),
+                             neighbor_dist.data(), neighbors.size(),
+                             options.kernel);
       for (size_t k = 0; k < neighbors.size(); ++k) {
         if (neighbors[k] == s.index) neighbor_dist[k] = 0.0;
       }

@@ -242,9 +242,6 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     }
 #endif
 
-    distance::BatchOptions batch;
-    batch.kernel = ctx.distance_kernel;
-
     // Border detection: one many-vs-many ε-tile of every owned segment
     // against the ghost tail (PR 8 kernels). Non-empty list ⇒ border.
     st.ghost_neighbors.assign(st.owned_count, {});
@@ -252,10 +249,9 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
       std::vector<size_t> queries(st.owned_count);
       for (size_t i = 0; i < st.owned_count; ++i) queries[i] = i;
       distance::EpsilonRefineTile(
-          local_store, dist,
-          common::Span<const size_t>(queries.data(), queries.size()),
-          st.owned_count, local_size, options_.eps,
-          st.ghost_neighbors.data(), batch);
+          dist, local_store, queries, local_store,
+          distance::Candidates::Range(st.owned_count, local_size),
+          options_.eps, st.ghost_neighbors.data(), ctx.distance_kernel);
     }
     std::vector<size_t> border;
     for (size_t i = 0; i < st.owned_count; ++i) {
@@ -269,9 +265,9 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     if (!border.empty()) {
       std::vector<std::vector<size_t>> full(border.size());
       distance::EpsilonRefineTile(
-          local_store, dist,
-          common::Span<const size_t>(border.data(), border.size()), 0,
-          local_size, options_.eps, full.data(), batch);
+          dist, local_store, border, local_store,
+          distance::Candidates::Range(0, local_size), options_.eps,
+          full.data(), ctx.distance_kernel);
       const std::vector<double>& weights = local_store.weights();
       for (size_t b = 0; b < border.size(); ++b) {
         double mass = 0.0;

@@ -137,10 +137,8 @@ common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
 
   if (!anchor_idx.empty() && !queries.empty()) {
     const distance::SegmentDistance dist(options_.distance);
-    distance::BatchOptions options;
-    options.kernel = ctx.distance_kernel;
-    const common::Span<const size_t> anchors(anchor_idx.data(),
-                                             anchor_idx.size());
+    const distance::Candidates anchors =
+        distance::Candidates::List(anchor_idx);
     std::vector<size_t> nearest(queries.size());
     std::vector<double> nearest_dist(queries.size());
     // Index-addressed slots + a fixed candidate set per query: the result is
@@ -148,12 +146,12 @@ common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
     common::SharedPool(ctx.num_threads)
         .ParallelForChunked(0, queries.size(), [&](size_t lo, size_t hi) {
           distance::NearestWithinEps(
-              store, dist,
+              dist, store,
               common::Span<const size_t>(queries.data() + lo, hi - lo),
-              anchors, options_.eps,
+              store, anchors, options_.eps,
               common::Span<size_t>(nearest.data() + lo, hi - lo),
               common::Span<double>(nearest_dist.data() + lo, hi - lo),
-              options);
+              ctx.distance_kernel);
         });
     for (size_t q = 0; q < queries.size(); ++q) {
       if (nearest[q] != distance::kNoNearest) {

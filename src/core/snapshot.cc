@@ -134,9 +134,6 @@ void ClusterSnapshot::InitServing() {
   }
   candidates_ = traj::SegmentStore(std::move(candidates));
   candidate_label_ = std::move(labels);
-  candidate_positions_.resize(candidates_.size());
-  std::iota(candidate_positions_.begin(), candidate_positions_.end(),
-            size_t{0});
 }
 
 common::Status ClusterSnapshot::Save(const std::string& path) const {
@@ -362,8 +359,6 @@ common::Status ClusterSnapshot::AssignSegments(
         " != snapshot dims " + std::to_string(candidates_.dims()));
   }
   const distance::SegmentDistance dist(params_.distance);
-  distance::BatchOptions batch;
-  batch.kernel = options.kernel;
   common::ThreadPool& pool = common::SharedPool(options.num_threads);
   // Chunk boundaries vary with thread count, but each query's answer
   // depends only on its own prune context and the full candidate scan, so
@@ -375,14 +370,12 @@ common::Status ClusterSnapshot::AssignSegments(
     query_idx.resize(hi - lo);
     std::iota(query_idx.begin(), query_idx.end(), lo);
     position.resize(hi - lo);
-    distance::NearestWithinEpsCross(
-        queries, dist,
-        common::Span<const size_t>(query_idx.data(), query_idx.size()),
-        candidates_,
-        common::Span<const size_t>(candidate_positions_.data(),
-                                   candidate_positions_.size()),
-        params_.eps, common::Span<size_t>(position.data(), position.size()),
-        common::Span<double>(out_distance.data() + lo, hi - lo), batch);
+    distance::NearestWithinEps(
+        dist, queries, query_idx, candidates_,
+        distance::Candidates::Range(0, candidates_.size()), params_.eps,
+        common::Span<size_t>(position.data(), position.size()),
+        common::Span<double>(out_distance.data() + lo, hi - lo),
+        options.kernel);
     for (size_t k = 0; k < hi - lo; ++k) {
       out_labels[lo + k] = position[k] == distance::kNoNearest
                                ? cluster::kNoise

@@ -18,13 +18,11 @@ namespace traclus::distance {
 
 namespace {
 
-constexpr size_t kDefaultRefineBlock = 256;
-
-// Candidate columns per tile block: ~256 candidates × ~12 SoA columns × 8 B
-// ≈ 24 KiB, sized to stay resident in L1/L2 while every query row of the
-// tile walks it. Each pair's evaluation (lane or scalar) reads only that
-// pair's columns, so regrouping a batch into blocks is bit-identical.
-constexpr size_t kTileCandidateBlock = 256;
+// Candidates per block: ~256 candidates × ~12 SoA columns × 8 B ≈ 24 KiB,
+// resident in L1/L2 while every query row of the call walks the block. Each
+// pair's evaluation reads only that pair's columns, so the block split never
+// changes a bit; it bounds the staging buffers at O(block).
+constexpr size_t kBlock = 256;
 
 // Relative margin of the prune comparison. The bound arithmetic (a squared
 // midpoint distance, two additions, one multiply) accumulates at most a few
@@ -46,13 +44,13 @@ struct PruneContext {
 
 PruneContext MakePruneContext(const traj::SegmentStore& store,
                               const SegmentDistance& dist, size_t query,
-                              double eps, bool enabled) {
+                              double eps) {
   PruneContext p;
   p.dims = store.dims();
   const double c = dist.LowerBoundFactor();
   // A zero factor (degenerate weights) or a non-finite/negative ε leaves no
   // provable prune; refine everything.
-  if (!enabled || !(c > 0.0) || !std::isfinite(eps) || eps < 0.0) return p;
+  if (!(c > 0.0) || !std::isfinite(eps) || eps < 0.0) return p;
   p.usable = true;
   p.reach = eps / c;
   p.half_q = store.half_length(query);
@@ -62,63 +60,89 @@ PruneContext MakePruneContext(const traj::SegmentStore& store,
   return p;
 }
 
-// True when candidate j is provably farther than ε from the query:
+// True when candidate j of `cands` is provably farther than ε from the
+// query:
 //   dist ≥ c·mindist ≥ c·(‖mid_q − mid_j‖ − h_q − h_j) > ε
 // evaluated in squared form (no per-candidate sqrt) with the kPruneSlack
 // margin absorbing the bound's own rounding.
-inline bool PrunedFar(const PruneContext& p, const traj::SegmentStore& store,
+inline bool PrunedFar(const PruneContext& p, const traj::SegmentStore& cands,
                       size_t j) {
-  if (!p.usable) return false;
   double dmid_sq = 0.0;
   for (int d = 0; d < p.dims; ++d) {
-    const double diff = store.midpoint_coords(d)[j] - p.mid_q[d];
+    const double diff = cands.midpoint_coords(d)[j] - p.mid_q[d];
     dmid_sq += diff * diff;
   }
-  const double threshold = p.reach + p.half_q + store.half_length(j);
+  const double threshold = p.reach + p.half_q + cands.half_length(j);
   // threshold may round to +inf for extreme ε/c; the comparison then never
   // prunes, which is the safe direction.
   return dmid_sq > threshold * threshold * (1.0 + kPruneSlack);
 }
 
-// Exact pair distance through the shared canonical kernel — bit-identical to
-// SegmentDistance::operator()(store, q, j) by construction (same
-// canonicalization, same component expressions, same weighted fold).
-inline double PairDistanceScalar(const traj::SegmentStore& store,
-                                 const SegmentDistanceConfig& cfg,
-                                 size_t query, size_t j) {
-  size_t li = query;
-  size_t lj = j;
-  internal::CanonicalizeInStore(store, li, lj);
-  return internal::StoreWeightedCanonical(store, li, lj, cfg.directed,
-                                          cfg.w_perpendicular, cfg.w_parallel,
-                                          cfg.w_angle);
-}
-
-// Cross-store pair distance: query from qs, candidate from cs. Same
-// canonical role assignment and kernel as PairDistanceScalar (chunk-local
-// invariants are bit-identical to the monolithic columns, so the swap
-// decision and the arithmetic match the one-store path exactly).
-inline double PairDistanceScalarCross(const traj::SegmentStore& qs,
-                                      size_t query,
-                                      const traj::SegmentStore& cs, size_t j,
-                                      const SegmentDistanceConfig& cfg) {
-  if (internal::CrossCanonicalSwap(qs, query, cs, j)) {
-    return internal::CrossWeightedCanonical(cs, j, qs, query, cfg.directed,
-                                            cfg.w_perpendicular,
-                                            cfg.w_parallel, cfg.w_angle);
+// The columns the row kernels read, resolved once per call.
+struct Columns {
+  explicit Columns(const traj::SegmentStore& s)
+      : store(&s),
+        len(s.lengths().data()),
+        sqlen(s.squared_lengths().data()) {
+    for (int d = 0; d < geom::kMaxDims; ++d) {
+      start[d] = s.start_coords(d).data();
+      end[d] = s.end_coords(d).data();
+      dir[d] = s.direction_coords(d).data();
+    }
   }
-  return internal::CrossWeightedCanonical(qs, query, cs, j, cfg.directed,
-                                          cfg.w_perpendicular, cfg.w_parallel,
-                                          cfg.w_angle);
-}
+  const traj::SegmentStore* store;
+  const double* len;
+  const double* sqlen;
+  const double* start[geom::kMaxDims];
+  const double* end[geom::kMaxDims];
+  const double* dir[geom::kMaxDims];
+};
+
+// The fixed inputs of one call: query store, candidate store, weights and
+// resolved kernel.
+struct Tile {
+  Tile(const traj::SegmentStore& query_store,
+       const traj::SegmentStore& cand_store, const SegmentDistance& dist,
+       BatchKernel kernel)
+      : q(query_store),
+        c(cand_store),
+        cfg(dist.config()),
+        kernel(ResolveBatchKernel(kernel)),
+        dims(query_store.dims()),
+        same_store(&query_store == &cand_store) {
+    TRACLUS_DCHECK_EQ(query_store.dims(), cand_store.dims());
+  }
+  Columns q;
+  Columns c;
+  const SegmentDistanceConfig& cfg;
+  BatchKernel kernel;
+  int dims;
+  bool same_store;
+};
+
+// Candidate accessors: position k → candidate-store index. The loop picks
+// one per call, so the choice costs nothing per pair; kContiguous lets the
+// SIMD kernel use plain vector loads for ranges.
+struct RangeAt {
+  static constexpr bool kContiguous = true;
+  size_t first;
+  size_t operator()(size_t k) const { return first + k; }
+  RangeAt From(size_t k) const { return RangeAt{first + k}; }
+};
+struct ListAt {
+  static constexpr bool kContiguous = false;
+  const size_t* list;
+  size_t operator()(size_t k) const { return list[k]; }
+  ListAt From(size_t k) const { return ListAt{list + k}; }
+};
 
 // Canonical kernel over raw (Li, Lj) coordinate arrays: exactly the
-// floating-point expressions of internal::CrossComponentsCanonicalInto plus
-// the StoreWeightedCanonical fold, with the Point temporaries replaced by
-// compile-time-unrolled loops over D dimensions. Every sum accumulates in
+// floating-point expressions of internal::StoreComponentsCanonicalInto plus
+// the weighted fold of SegmentDistance::operator(), with the Point
+// temporaries replaced by compile-time-unrolled loops over D dimensions. Every sum accumulates in
 // ascending dimension order from 0.0 — the geom::Dot / Point::SquaredNorm
 // order — and the build forbids FP contraction, so results are bit-identical
-// to the store-backed kernel (the tile-vs-batch-vs-pair bitwise tests pin
+// to the store-backed pair kernel (the tile-vs-pair bitwise tests pin
 // this on the adversarial corpus). Callers resolve the Lemma 2 swap first.
 template <int D>
 inline double RawWeightedCanonical(const double* s, const double* e,
@@ -195,71 +219,58 @@ inline double RawWeightedCanonical(const double* s, const double* e,
          w_angle * angle;
 }
 
-// Contiguous-candidate scalar row kernel — the tile family's scalar inner
-// loop. Hoists the query's columns into registers once per row instead of
-// re-resolving them per pair through CanonicalizeInStore + segment(), and
-// resolves the Lemma 2 swap inline (the strict length compare covers almost
-// every pair; exact ties fall back to the full scalar tie-break).
-template <int D>
-void RangeScalarRow(const traj::SegmentStore& store,
-                    const SegmentDistanceConfig& cfg, size_t query,
-                    size_t first, size_t last, double* out) {
-  const double* len_col = store.lengths().data();
-  const double* sqlen_col = store.squared_lengths().data();
-  const double* start_col[D];
-  const double* end_col[D];
-  const double* dir_col[D];
+// Hoisted scalar row kernel: dist(query, at(k)) → out[k] for k < n. The
+// query's columns stay in registers for the whole row, and the Lemma 2
+// swap resolves inline (the strict length compare covers almost every pair;
+// exact ties fall back to the full tie-break across the two stores).
+template <int D, typename At>
+void RowScalar(const Tile& t, size_t query, const At& at, size_t n,
+               double* out) {
   double qs[D], qe[D], qd[D];
   for (int d = 0; d < D; ++d) {
-    start_col[d] = store.start_coords(d).data();
-    end_col[d] = store.end_coords(d).data();
-    dir_col[d] = store.direction_coords(d).data();
-    qs[d] = start_col[d][query];
-    qe[d] = end_col[d][query];
-    qd[d] = dir_col[d][query];
+    qs[d] = t.q.start[d][query];
+    qe[d] = t.q.end[d][query];
+    qd[d] = t.q.dir[d][query];
   }
-  const double q_den = sqlen_col[query];
-  const double q_len = len_col[query];
+  const double q_den = t.q.sqlen[query];
+  const double q_len = t.q.len[query];
+  const SegmentDistanceConfig& cfg = t.cfg;
 
-  for (size_t j = first; j < last; ++j) {
+  for (size_t k = 0; k < n; ++k) {
+    const size_t j = at(k);
     double cs[D], ce[D], cd[D];
     for (int d = 0; d < D; ++d) {
-      cs[d] = start_col[d][j];
-      ce[d] = end_col[d][j];
-      cd[d] = dir_col[d][j];
+      cs[d] = t.c.start[d][j];
+      ce[d] = t.c.end[d][j];
+      cd[d] = t.c.dir[d][j];
     }
-    const double c_len = len_col[j];
+    const double c_len = t.c.len[j];
     // Lemma 2 canonical roles: the candidate takes Li when strictly longer;
     // an exact length tie runs the id / lexicographic tie-break. NaN lengths
     // fail both compares, leaving the query as Li — CrossCanonicalSwap's
     // behavior exactly.
     bool swap = q_len < c_len;
     if (q_len == c_len) {
-      swap = internal::CrossCanonicalSwap(store, query, store, j);
+      swap = internal::CrossCanonicalSwap(*t.q.store, query, *t.c.store, j);
     }
-    out[j - first] =
-        swap ? RawWeightedCanonical<D>(cs, ce, cd, sqlen_col[j], c_len, qs,
-                                       qe, qd, q_len, cfg.directed,
-                                       cfg.w_perpendicular, cfg.w_parallel,
-                                       cfg.w_angle)
-             : RawWeightedCanonical<D>(qs, qe, qd, q_den, q_len, cs, ce, cd,
-                                       c_len, cfg.directed,
-                                       cfg.w_perpendicular, cfg.w_parallel,
-                                       cfg.w_angle);
+    out[k] = swap ? RawWeightedCanonical<D>(cs, ce, cd, t.c.sqlen[j], c_len,
+                                            qs, qe, qd, q_len, cfg.directed,
+                                            cfg.w_perpendicular,
+                                            cfg.w_parallel, cfg.w_angle)
+                  : RawWeightedCanonical<D>(qs, qe, qd, q_den, q_len, cs, ce,
+                                            cd, c_len, cfg.directed,
+                                            cfg.w_perpendicular,
+                                            cfg.w_parallel, cfg.w_angle);
   }
 }
 
-// Blocked scalar batch kernel. `index(k)` maps batch position to segment
-// index (an array lookup for DistanceBatch, `first + k` for the Range
-// variants). Branch-light: the only data-dependent branches are the ones the
-// canonical kernel itself requires for bit-identity (degenerate-length and
-// angle-regime selection).
-template <typename IndexFn>
-void BatchScalar(const traj::SegmentStore& store,
-                 const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                 const IndexFn& index, double* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = PairDistanceScalar(store, cfg, query, index(k));
+template <typename At>
+void RowScalarDims(const Tile& t, size_t query, const At& at, size_t n,
+                   double* out) {
+  if (t.dims == 2) {
+    RowScalar<2>(t, query, at, n, out);
+  } else {
+    RowScalar<3>(t, query, at, n, out);
   }
 }
 
@@ -279,11 +290,8 @@ struct SimdWeights {
   bool directed;
 };
 
-// The four-lane canonical arithmetic body, shared verbatim by the batch
-// kernel (lane-gathered inputs) and the contiguous row kernel (blended
-// inputs) so both execute literally the same instruction sequence.
-//
-// Each lane executes the exact operation sequence of the scalar canonical
+// The four-lane canonical arithmetic body of the SIMD row kernel. Each lane
+// executes the exact operation sequence of the scalar canonical
 // kernel (store_kernel_detail.h) on already-canonicalized (Li, Lj) role
 // registers, with branches replaced by blends whose selected value matches
 // the scalar ternary in every case (including NaN propagation and signed
@@ -403,119 +411,46 @@ inline SimdWeights MakeSimdWeights(const SegmentDistanceConfig& cfg) {
   return w;
 }
 
-// Four-lane AVX2 batch kernel over the store's SoA coordinate columns: the
-// per-pair (longer, shorter) roles are resolved scalar-side during the lane
-// gather (Lemma 2 ordering, including the id / lexicographic tie-breaks,
-// which do not vectorize), after which CanonicalLanes runs the shared
-// straight-line arithmetic.
-template <typename IndexFn>
-void BatchSimd(const traj::SegmentStore& store,
-               const SegmentDistanceConfig& cfg, size_t query, size_t n,
-               const IndexFn& index, double* out) {
-  const int dims = store.dims();
-  const double* len_col = store.lengths().data();
-  const double* sqlen_col = store.squared_lengths().data();
-  const double* start_col[geom::kMaxDims];
-  const double* end_col[geom::kMaxDims];
-  const double* dir_col[geom::kMaxDims];
-  for (int d = 0; d < dims; ++d) {
-    start_col[d] = store.start_coords(d).data();
-    end_col[d] = store.end_coords(d).data();
-    dir_col[d] = store.direction_coords(d).data();
-  }
-  const SimdWeights w = MakeSimdWeights(cfg);
-
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // Lane gather: canonicalize each pair scalar-side, then transpose the
-    // canonical (Li, Lj) scalars into lane-major form.
-    alignas(32) double s_l[geom::kMaxDims][4];   // Li start.
-    alignas(32) double e_l[geom::kMaxDims][4];   // Li end.
-    alignas(32) double se_l[geom::kMaxDims][4];  // Li direction (e − s).
-    alignas(32) double js_l[geom::kMaxDims][4];  // Lj start.
-    alignas(32) double je_l[geom::kMaxDims][4];  // Lj end.
-    alignas(32) double dj_l[geom::kMaxDims][4];  // Lj direction.
-    alignas(32) double den_l[4];                 // ‖Li direction‖².
-    alignas(32) double len_i_l[4];
-    alignas(32) double len_j_l[4];
-    for (int lane = 0; lane < 4; ++lane) {
-      size_t li = query;
-      size_t lj = index(k + static_cast<size_t>(lane));
-      internal::CanonicalizeInStore(store, li, lj);
-      den_l[lane] = sqlen_col[li];
-      len_i_l[lane] = len_col[li];
-      len_j_l[lane] = len_col[lj];
-      for (int d = 0; d < dims; ++d) {
-        s_l[d][lane] = start_col[d][li];
-        e_l[d][lane] = end_col[d][li];
-        se_l[d][lane] = dir_col[d][li];
-        js_l[d][lane] = start_col[d][lj];
-        je_l[d][lane] = end_col[d][lj];
-        dj_l[d][lane] = dir_col[d][lj];
-      }
-    }
-
-    __m256d s_v[geom::kMaxDims], e_v[geom::kMaxDims], se_v[geom::kMaxDims];
-    __m256d js_v[geom::kMaxDims], je_v[geom::kMaxDims], dj_v[geom::kMaxDims];
-    for (int d = 0; d < dims; ++d) {
-      s_v[d] = _mm256_load_pd(s_l[d]);
-      e_v[d] = _mm256_load_pd(e_l[d]);
-      se_v[d] = _mm256_load_pd(se_l[d]);
-      js_v[d] = _mm256_load_pd(js_l[d]);
-      je_v[d] = _mm256_load_pd(je_l[d]);
-      dj_v[d] = _mm256_load_pd(dj_l[d]);
-    }
-    const __m256d total = CanonicalLanes(
-        dims, s_v, e_v, se_v, js_v, je_v, dj_v, _mm256_load_pd(den_l),
-        _mm256_load_pd(len_i_l), _mm256_load_pd(len_j_l), w);
-    _mm256_storeu_pd(out + k, total);
-  }
-
-  // Tail lanes (< 4 remaining) run the scalar kernel — same bits.
-  for (; k < n; ++k) {
-    out[k] = PairDistanceScalar(store, cfg, query, index(k));
+// Four candidate lanes of one column: a vector load for a range, a lane
+// gather for a list. Either way only bits move.
+template <typename At>
+inline __m256d Load4(const double* col, const At& at, size_t k) {
+  if constexpr (At::kContiguous) {
+    return _mm256_loadu_pd(col + at(k));
+  } else {
+    return _mm256_set_pd(col[at(k + 3)], col[at(k + 2)], col[at(k + 1)],
+                         col[at(k)]);
   }
 }
 
-// Contiguous-candidate SIMD row kernel — the tile family's vector inner
-// loop. Instead of BatchSimd's per-lane scalar gather (which re-resolves the
-// query's columns for every pair), the query side is broadcast ONCE per row
-// and each 4-candidate step is: unaligned column loads + a vectorized
-// Lemma 2 swap mask + role blends + the shared arithmetic body. The blends
-// only move bits between registers, so feeding CanonicalLanes this way is
-// bit-identical to the gathered path (pinned by the tile bitwise tests).
-void RangeSimd(const traj::SegmentStore& store,
-               const SegmentDistanceConfig& cfg, size_t query, size_t first,
-               size_t last, double* out) {
-  const int dims = store.dims();
-  const double* len_col = store.lengths().data();
-  const double* sqlen_col = store.squared_lengths().data();
-  const double* start_col[geom::kMaxDims];
-  const double* end_col[geom::kMaxDims];
-  const double* dir_col[geom::kMaxDims];
+// Four-lane row kernel. The query side is broadcast once per row; each
+// 4-candidate step is column loads + a vectorized Lemma 2 swap mask + role
+// blends + the shared arithmetic body. The blends only move bits between
+// registers, so the lanes are bit-identical to the scalar row kernel.
+template <typename At>
+void RowSimd(const Tile& t, size_t query, const At& at, size_t n,
+             double* out) {
+  const int dims = t.dims;
   __m256d qs_v[geom::kMaxDims], qe_v[geom::kMaxDims], qd_v[geom::kMaxDims];
   for (int d = 0; d < dims; ++d) {
-    start_col[d] = store.start_coords(d).data();
-    end_col[d] = store.end_coords(d).data();
-    dir_col[d] = store.direction_coords(d).data();
-    qs_v[d] = _mm256_set1_pd(start_col[d][query]);
-    qe_v[d] = _mm256_set1_pd(end_col[d][query]);
-    qd_v[d] = _mm256_set1_pd(dir_col[d][query]);
+    qs_v[d] = _mm256_set1_pd(t.q.start[d][query]);
+    qe_v[d] = _mm256_set1_pd(t.q.end[d][query]);
+    qd_v[d] = _mm256_set1_pd(t.q.dir[d][query]);
   }
-  const __m256d q_den = _mm256_set1_pd(sqlen_col[query]);
-  const __m256d q_len = _mm256_set1_pd(len_col[query]);
-  const SimdWeights w = MakeSimdWeights(cfg);
+  const __m256d q_den = _mm256_set1_pd(t.q.sqlen[query]);
+  const __m256d q_len = _mm256_set1_pd(t.q.len[query]);
+  const SimdWeights w = MakeSimdWeights(t.cfg);
 
-  size_t j = first;
-  for (; j + 4 <= last; j += 4) {
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
     __m256d cs_v[geom::kMaxDims], ce_v[geom::kMaxDims], cd_v[geom::kMaxDims];
     for (int d = 0; d < dims; ++d) {
-      cs_v[d] = _mm256_loadu_pd(start_col[d] + j);
-      ce_v[d] = _mm256_loadu_pd(end_col[d] + j);
-      cd_v[d] = _mm256_loadu_pd(dir_col[d] + j);
+      cs_v[d] = Load4(t.c.start[d], at, k);
+      ce_v[d] = Load4(t.c.end[d], at, k);
+      cd_v[d] = Load4(t.c.dir[d], at, k);
     }
-    const __m256d c_den = _mm256_loadu_pd(sqlen_col + j);
-    const __m256d c_len = _mm256_loadu_pd(len_col + j);
+    const __m256d c_den = Load4(t.c.sqlen, at, k);
+    const __m256d c_len = Load4(t.c.len, at, k);
 
     // Lemma 2 swap mask: the candidate takes the Li role where the query is
     // strictly shorter. Exact length ties (and only those — NaN lengths fail
@@ -530,11 +465,11 @@ void RangeSimd(const traj::SegmentStore& store,
                          _mm256_castpd_si256(swap));
       for (int lane = 0; lane < 4; ++lane) {
         if ((eq & (1 << lane)) != 0) {
-          mask_l[lane] =
-              internal::CrossCanonicalSwap(store, query, store,
-                                           j + static_cast<size_t>(lane))
-                  ? ~uint64_t{0}
-                  : uint64_t{0};
+          mask_l[lane] = internal::CrossCanonicalSwap(
+                             *t.q.store, query, *t.c.store,
+                             at(k + static_cast<size_t>(lane)))
+                             ? ~uint64_t{0}
+                             : uint64_t{0};
         }
       }
       swap = _mm256_castsi256_pd(
@@ -559,300 +494,110 @@ void RangeSimd(const traj::SegmentStore& store,
 
     const __m256d total = CanonicalLanes(dims, s_v, e_v, se_v, js_v, je_v,
                                          dj_v, den, len_i, len_j, w);
-    _mm256_storeu_pd(out + (j - first), total);
-  }
-
-  // Tail lanes (< 4 remaining) run the scalar kernel — same bits.
-  for (; j < last; ++j) {
-    out[j - first] = PairDistanceScalar(store, cfg, query, j);
-  }
-}
-
-// Cross-store four-lane kernel: the same shared arithmetic body as
-// BatchSimd, with the per-lane gather resolving the Lemma 2 roles across the
-// two stores (CrossCanonicalSwap — the exact decision PairDistanceScalarCross
-// makes), so the lanes are bit-identical to the scalar cross path for the
-// same reason the one-store lanes are: identical role assignment feeding
-// identical straight-line arithmetic.
-template <typename IndexFn>
-void BatchSimdCross(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
-                    const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                    const IndexFn& index, double* out) {
-  const int dims = qs.dims();
-  const SimdWeights w = MakeSimdWeights(cfg);
-
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    alignas(32) double s_l[geom::kMaxDims][4];   // Li start.
-    alignas(32) double e_l[geom::kMaxDims][4];   // Li end.
-    alignas(32) double se_l[geom::kMaxDims][4];  // Li direction (e − s).
-    alignas(32) double js_l[geom::kMaxDims][4];  // Lj start.
-    alignas(32) double je_l[geom::kMaxDims][4];  // Lj end.
-    alignas(32) double dj_l[geom::kMaxDims][4];  // Lj direction.
-    alignas(32) double den_l[4];                 // ‖Li direction‖².
-    alignas(32) double len_i_l[4];
-    alignas(32) double len_j_l[4];
-    for (int lane = 0; lane < 4; ++lane) {
-      const size_t j = index(k + static_cast<size_t>(lane));
-      const bool swap = internal::CrossCanonicalSwap(qs, query, cs, j);
-      const traj::SegmentStore& si = swap ? cs : qs;
-      const traj::SegmentStore& sj = swap ? qs : cs;
-      const size_t li = swap ? j : query;
-      const size_t lj = swap ? query : j;
-      den_l[lane] = si.squared_lengths()[li];
-      len_i_l[lane] = si.lengths()[li];
-      len_j_l[lane] = sj.lengths()[lj];
-      for (int d = 0; d < dims; ++d) {
-        s_l[d][lane] = si.start_coords(d)[li];
-        e_l[d][lane] = si.end_coords(d)[li];
-        se_l[d][lane] = si.direction_coords(d)[li];
-        js_l[d][lane] = sj.start_coords(d)[lj];
-        je_l[d][lane] = sj.end_coords(d)[lj];
-        dj_l[d][lane] = sj.direction_coords(d)[lj];
-      }
-    }
-
-    __m256d s_v[geom::kMaxDims], e_v[geom::kMaxDims], se_v[geom::kMaxDims];
-    __m256d js_v[geom::kMaxDims], je_v[geom::kMaxDims], dj_v[geom::kMaxDims];
-    for (int d = 0; d < dims; ++d) {
-      s_v[d] = _mm256_load_pd(s_l[d]);
-      e_v[d] = _mm256_load_pd(e_l[d]);
-      se_v[d] = _mm256_load_pd(se_l[d]);
-      js_v[d] = _mm256_load_pd(js_l[d]);
-      je_v[d] = _mm256_load_pd(je_l[d]);
-      dj_v[d] = _mm256_load_pd(dj_l[d]);
-    }
-    const __m256d total = CanonicalLanes(
-        dims, s_v, e_v, se_v, js_v, je_v, dj_v, _mm256_load_pd(den_l),
-        _mm256_load_pd(len_i_l), _mm256_load_pd(len_j_l), w);
     _mm256_storeu_pd(out + k, total);
   }
 
-  // Tail lanes (< 4 remaining) run the scalar cross kernel — same bits.
-  for (; k < n; ++k) {
-    out[k] = PairDistanceScalarCross(qs, query, cs, index(k), cfg);
-  }
+  // Tail lanes (< 4 remaining) run the scalar row kernel — same bits.
+  RowScalarDims(t, query, at.From(k), n - k, out + k);
 }
 
 #endif  // __AVX2__
 
-// Dispatches an already-resolved kernel choice.
-template <typename IndexFn>
-void BatchDispatch(BatchKernel kernel, const traj::SegmentStore& store,
-                   const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                   const IndexFn& index, double* out) {
+// dist(query, at(k)) → out[k] for k < n through the call's kernel.
+template <typename At>
+void Row(const Tile& t, size_t query, const At& at, size_t n, double* out) {
 #if defined(__AVX2__)
-  if (kernel == BatchKernel::kSimd) {
-    BatchSimd(store, cfg, query, n, index, out);
+  if (t.kernel == BatchKernel::kSimd) {
+    RowSimd(t, query, at, n, out);
     return;
   }
-#else
-  (void)kernel;
 #endif
-  BatchScalar(store, cfg, query, n, index, out);
+  RowScalarDims(t, query, at, n, out);
 }
 
-// Cross-store scalar batch kernel: query from qs, candidates from cs.
-template <typename IndexFn>
-void BatchScalarCross(const traj::SegmentStore& qs,
-                      const traj::SegmentStore& cs,
-                      const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                      const IndexFn& index, double* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = PairDistanceScalarCross(qs, query, cs, index(k), cfg);
-  }
-}
-
-// Cross-store kernel dispatch, mirroring BatchDispatch.
-template <typename IndexFn>
-void BatchDispatchCross(BatchKernel kernel, const traj::SegmentStore& qs,
-                        const traj::SegmentStore& cs,
-                        const SegmentDistanceConfig& cfg, size_t query,
-                        size_t n, const IndexFn& index, double* out) {
-#if defined(__AVX2__)
-  if (kernel == BatchKernel::kSimd) {
-    BatchSimdCross(qs, cs, cfg, query, n, index, out);
-    return;
-  }
-#else
-  (void)kernel;
-#endif
-  BatchScalarCross(qs, cs, cfg, query, n, index, out);
-}
-
-// Shared cross-store ε-refine pipeline: the blocked prune → batch →
-// threshold shape of EpsilonRefineImpl, minus the self-inclusion case
-// (cross-store candidates never contain the query — header contract). The
-// prune reads only the candidate store's midpoint/half-length columns, so
-// PrunedFar works unchanged across stores; emission is `out_base + j` in
-// candidate order (blocks ascend and order within a block is preserved), so
-// the output matches the old per-candidate loop exactly.
-template <typename IndexFn>
-size_t EpsilonRefineCrossImpl(const traj::SegmentStore& qs,
-                              const SegmentDistance& dist, size_t query,
-                              const traj::SegmentStore& cs, size_t n,
-                              const IndexFn& index, double eps,
-                              size_t out_base,
-                              std::vector<size_t>& out_indices,
-                              const BatchOptions& options,
-                              RefineStats* stats) {
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block =
-      options.block > 0 ? options.block : kDefaultRefineBlock;
-  const PruneContext prune =
-      MakePruneContext(qs, dist, query, eps, options.prune);
-  const SegmentDistanceConfig& cfg = dist.config();
-
-  // Same thread_local staging story as EpsilonRefineImpl: the kernels read
-  // only the two stores' immutable columns and write only these buffers plus
-  // the caller-owned out_indices, so concurrent refines share nothing.
-  thread_local std::vector<size_t> survivors;
-  thread_local std::vector<double> distances;
-
-  size_t appended = 0;
-  size_t pruned = 0;
-  size_t refined = 0;
-  for (size_t base = 0; base < n; base += block) {
-    const size_t hi = std::min(n, base + block);
-    survivors.clear();
-    for (size_t k = base; k < hi; ++k) {
-      const size_t j = index(k);
-      TRACLUS_DCHECK(j < cs.size());
-      if (PrunedFar(prune, cs, j)) {
-        ++pruned;
-        continue;
-      }
-      survivors.push_back(j);
-    }
-    distances.resize(survivors.size());
-    BatchDispatchCross(
-        kernel, qs, cs, cfg, query, survivors.size(),
-        [&](size_t m) { return survivors[m]; }, distances.data());
-    refined += survivors.size();
-    for (size_t m = 0; m < survivors.size(); ++m) {
-      if (distances[m] <= eps) {
-        out_indices.push_back(out_base + survivors[m]);
-        ++appended;
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->candidates += n;
-    stats->pruned += pruned;
-    stats->refined += refined;
-    stats->accepted += appended;
-  }
-  return appended;
-}
-
-// Contiguous-candidate row kernel — the tile family's inner loop. Same
-// results as BatchDispatch over the index range [first, last) (the tile
-// bitwise tests pin this), but with the query-side state hoisted out of the
-// candidate loop instead of re-resolved per pair: broadcast registers in the
-// SIMD kernel, compile-time-unrolled locals in the scalar one. This hoist is
-// what makes the tiled all-pairs consumers faster than their row-batched
-// predecessors — the candidate columns stream as contiguous loads while the
-// query side stays in registers for the whole row.
-void RowRangeDispatch(BatchKernel kernel, const traj::SegmentStore& store,
-                      const SegmentDistanceConfig& cfg, size_t query,
-                      size_t first, size_t last, double* out) {
-  if (first >= last) return;
-#if defined(__AVX2__)
-  if (kernel == BatchKernel::kSimd) {
-    RangeSimd(store, cfg, query, first, last, out);
-    return;
-  }
-#else
-  (void)kernel;
-#endif
-  if (store.dims() == 2) {
-    RangeScalarRow<2>(store, cfg, query, first, last, out);
-  } else {
-    RangeScalarRow<3>(store, cfg, query, first, last, out);
-  }
-}
-
-// Tile core for indexed candidate lists: candidate-block-major evaluation of
-// an M × N block. Each block of candidate columns is walked once per query
-// row while hot; per row the block is exactly a BatchDispatch call, so tile
-// results are bit-identical to the per-query batches (and the pair path) by
-// construction. Contiguous-range tiles take the faster RowRangeDispatch
-// inner loop instead.
-template <typename QueryFn, typename CandFn>
-void TileDispatch(BatchKernel kernel, const traj::SegmentStore& store,
-                  const SegmentDistanceConfig& cfg, size_t num_queries,
-                  const QueryFn& query_of, size_t num_candidates,
-                  const CandFn& cand_of, double* out, size_t ldo) {
-  for (size_t jb = 0; jb < num_candidates; jb += kTileCandidateBlock) {
-    const size_t je = std::min(num_candidates, jb + kTileCandidateBlock);
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      BatchDispatch(
-          kernel, store, cfg, query_of(qi), je - jb,
-          [&](size_t k) { return cand_of(jb + k); }, out + qi * ldo + jb);
-    }
-  }
-}
-
-// Shared ε-refine pipeline: blocked prune → batch distance → threshold.
-template <typename IndexFn>
-size_t EpsilonRefineImpl(const traj::SegmentStore& store,
-                         const SegmentDistance& dist, size_t query, size_t n,
-                         const IndexFn& index, double eps,
-                         std::vector<size_t>& out_indices,
-                         const BatchOptions& options, RefineStats* stats) {
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block =
-      options.block > 0 ? options.block : kDefaultRefineBlock;
-  const PruneContext prune =
-      MakePruneContext(store, dist, query, eps, options.prune);
-  const SegmentDistanceConfig& cfg = dist.config();
-
+// The one tile loop behind the three faces. Candidate-block-major: each
+// block of candidate columns serves every query row while hot. With `eps`
+// finite, each query holds one prune context; candidates it proves farther
+// than ε are skipped (never the query itself in a same-store call) and the
+// survivors are evaluated as one gathered row. Without a usable prune the
+// block is evaluated as it stands. For every evaluated pair the face's
+// `sink(qi, position, candidate, distance, within)` runs, in ascending
+// position order per query; `within` is the Definition 4 test
+// (same-store self, or distance ≤ ε).
+template <typename At, typename Sink>
+void TileLoop(const Tile& t, const SegmentDistance& dist,
+              common::Span<const size_t> queries, const At& at, size_t n,
+              double eps, Sink&& sink, RefineStats* stats) {
   // Per-thread staging keeps the hot path allocation-free across calls;
-  // residency is bounded by the block size. thread_local is the whole
-  // concurrency story here: the kernels read only the immutable
-  // SegmentStore columns and write only these buffers plus the
-  // caller-owned out_indices, so concurrent refines on pool workers need
-  // no mutex (and hence no capability annotations) — nothing is shared.
-  thread_local std::vector<size_t> survivors;
-  thread_local std::vector<double> distances;
+  // nothing here is shared between threads.
+  thread_local std::vector<PruneContext> prune;
+  thread_local std::vector<size_t> pos;
+  thread_local std::vector<size_t> idx;
+  thread_local std::vector<double> d;
+  prune.clear();
+  for (const size_t q : queries) {
+    TRACLUS_DCHECK(q < t.q.store->size());
+    prune.push_back(MakePruneContext(*t.q.store, dist, q, eps));
+  }
+  pos.resize(kBlock);
+  idx.resize(kBlock);
+  d.resize(kBlock);
 
-  size_t appended = 0;
   size_t pruned = 0;
   size_t refined = 0;
-  for (size_t base = 0; base < n; base += block) {
-    const size_t hi = std::min(n, base + block);
-    survivors.clear();
-    for (size_t k = base; k < hi; ++k) {
-      const size_t j = index(k);
-      // The query itself always survives (Definition 4 self-inclusion).
-      if (j != query && PrunedFar(prune, store, j)) {
-        ++pruned;
+  for (size_t base = 0; base < n; base += kBlock) {
+    const size_t m = std::min(kBlock, n - base);
+    const At block = at.From(base);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const size_t q = queries[qi];
+      const auto self = [&](size_t j) { return t.same_store && j == q; };
+      if (!prune[qi].usable) {
+        Row(t, q, block, m, d.data());
+        refined += m;
+        for (size_t k = 0; k < m; ++k) {
+          const size_t j = block(k);
+          TRACLUS_DCHECK(j < t.c.store->size());
+          sink(qi, base + k, j, d[k], self(j) || d[k] <= eps);
+        }
         continue;
       }
-      survivors.push_back(j);
-    }
-    distances.resize(survivors.size());
-    BatchDispatch(
-        kernel, store, cfg, query, survivors.size(),
-        [&](size_t m) { return survivors[m]; }, distances.data());
-    refined += survivors.size();
-    for (size_t m = 0; m < survivors.size(); ++m) {
-      const size_t j = survivors[m];
-      if (j == query || distances[m] <= eps) {
-        out_indices.push_back(j);
-        ++appended;
+      size_t s = 0;
+      for (size_t k = 0; k < m; ++k) {
+        const size_t j = block(k);
+        TRACLUS_DCHECK(j < t.c.store->size());
+        if (!self(j) && PrunedFar(prune[qi], *t.c.store, j)) continue;
+        pos[s] = base + k;
+        idx[s] = j;
+        ++s;
+      }
+      pruned += m - s;
+      refined += s;
+      Row(t, q, ListAt{idx.data()}, s, d.data());
+      for (size_t k = 0; k < s; ++k) {
+        sink(qi, pos[k], idx[k], d[k], self(idx[k]) || d[k] <= eps);
       }
     }
   }
 
   if (stats != nullptr) {
-    stats->candidates += n;
+    stats->candidates += queries.size() * n;
     stats->pruned += pruned;
     stats->refined += refined;
-    stats->accepted += appended;
   }
-  return appended;
+}
+
+// Runs `fn` with the accessor for `c`, chosen once per call.
+template <typename Fn>
+void WithCandidates(const Candidates& c,
+                    [[maybe_unused]] const traj::SegmentStore& cand_store,
+                    Fn&& fn) {
+  TRACLUS_DCHECK(c.first <= c.last);
+  TRACLUS_DCHECK(c.list != nullptr || c.last <= cand_store.size());
+  if (c.list != nullptr) {
+    fn(ListAt{c.list});
+  } else {
+    fn(RangeAt{c.first});
+  }
 }
 
 }  // namespace
@@ -890,305 +635,77 @@ common::Result<BatchKernel> ParseBatchKernel(std::string_view name) {
       "' (expected auto, scalar, or simd)");
 }
 
-void DistanceBatch(const traj::SegmentStore& store,
-                   const SegmentDistance& dist, size_t query,
-                   common::Span<const size_t> candidates,
-                   common::Span<double> out, BatchKernel kernel) {
-  TRACLUS_DCHECK(query < store.size());
-  TRACLUS_DCHECK_EQ(candidates.size(), out.size());
-  const size_t* cand = candidates.data();
-  BatchDispatch(
-      ResolveBatchKernel(kernel), store, dist.config(), query,
-      candidates.size(), [cand](size_t k) { return cand[k]; }, out.data());
-}
-
-void DistanceBatchRange(const traj::SegmentStore& store,
-                        const SegmentDistance& dist, size_t query,
-                        size_t first, size_t last, common::Span<double> out,
-                        BatchKernel kernel) {
-  TRACLUS_DCHECK(query < store.size());
-  TRACLUS_DCHECK(first <= last && last <= store.size());
-  TRACLUS_DCHECK_EQ(last - first, out.size());
-  BatchDispatch(
-      ResolveBatchKernel(kernel), store, dist.config(), query, last - first,
-      [first](size_t k) { return first + k; }, out.data());
-}
-
-size_t EpsilonRefine(const traj::SegmentStore& store,
-                     const SegmentDistance& dist, size_t query,
-                     common::Span<const size_t> candidates, double eps,
-                     std::vector<size_t>& out_indices,
-                     const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(query < store.size());
-  const size_t* cand = candidates.data();
-  return EpsilonRefineImpl(
-      store, dist, query, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, eps, out_indices, options, stats);
-}
-
-size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
-                          const SegmentDistance& dist, size_t query,
-                          const traj::SegmentStore& cand_store,
-                          common::Span<const size_t> candidates, double eps,
-                          size_t out_base, std::vector<size_t>& out_indices,
-                          const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(query < query_store.size());
-  TRACLUS_DCHECK_EQ(query_store.dims(), cand_store.dims());
-  const size_t* cand = candidates.data();
-  return EpsilonRefineCrossImpl(
-      query_store, dist, query, cand_store, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, eps, out_base, out_indices,
-      options, stats);
-}
-
-size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
-                               const SegmentDistance& dist, size_t query,
-                               const traj::SegmentStore& cand_store,
-                               size_t first, size_t last, double eps,
-                               size_t out_base,
-                               std::vector<size_t>& out_indices,
-                               const BatchOptions& options,
-                               RefineStats* stats) {
-  TRACLUS_DCHECK(query < query_store.size());
-  TRACLUS_DCHECK_EQ(query_store.dims(), cand_store.dims());
-  TRACLUS_DCHECK(first <= last && last <= cand_store.size());
-  return EpsilonRefineCrossImpl(
-      query_store, dist, query, cand_store, last - first,
-      [first](size_t k) { return first + k; }, eps, out_base, out_indices,
-      options, stats);
-}
-
-void DistanceTile(const traj::SegmentStore& store, const SegmentDistance& dist,
+void DistanceTile(const SegmentDistance& dist,
+                  const traj::SegmentStore& query_store,
                   common::Span<const size_t> queries,
-                  common::Span<const size_t> candidates, double* out,
-                  size_t ldo, BatchKernel kernel) {
+                  const traj::SegmentStore& cand_store, Candidates candidates,
+                  double* out, size_t ldo, BatchKernel kernel) {
   TRACLUS_DCHECK(ldo >= candidates.size());
-  const size_t* q = queries.data();
-  const size_t* cand = candidates.data();
-  TileDispatch(
-      ResolveBatchKernel(kernel), store, dist.config(), queries.size(),
-      [q](size_t qi) { return q[qi]; }, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, out, ldo);
+  const Tile t(query_store, cand_store, dist, kernel);
+  // A NaN ε disables the prune: every distance is written.
+  const double no_prune = std::numeric_limits<double>::quiet_NaN();
+  WithCandidates(candidates, cand_store, [&](const auto& at) {
+    TileLoop(
+        t, dist, queries, at, candidates.size(), no_prune,
+        [&](size_t qi, size_t k, size_t, double d, bool) {
+          out[qi * ldo + k] = d;
+        },
+        nullptr);
+  });
 }
 
-void DistanceTileRange(const traj::SegmentStore& store,
-                       const SegmentDistance& dist, size_t query_first,
-                       size_t query_last, size_t cand_first, size_t cand_last,
-                       double* out, size_t ldo, BatchKernel kernel) {
-  TRACLUS_DCHECK(query_first <= query_last && query_last <= store.size());
-  TRACLUS_DCHECK(cand_first <= cand_last && cand_last <= store.size());
-  TRACLUS_DCHECK(ldo >= cand_last - cand_first);
-  const BatchKernel resolved = ResolveBatchKernel(kernel);
-  const SegmentDistanceConfig& cfg = dist.config();
-  // Candidate-block-major over the contiguous range, with the hoisted
-  // row kernel as the inner loop.
-  for (size_t jb = cand_first; jb < cand_last; jb += kTileCandidateBlock) {
-    const size_t je = std::min(cand_last, jb + kTileCandidateBlock);
-    for (size_t q = query_first; q < query_last; ++q) {
-      RowRangeDispatch(resolved, store, cfg, q, jb, je,
-                       out + (q - query_first) * ldo + (jb - cand_first));
-    }
-  }
-}
-
-size_t EpsilonRefineTile(const traj::SegmentStore& store,
-                         const SegmentDistance& dist,
-                         common::Span<const size_t> queries, size_t first,
-                         size_t last, double eps,
-                         std::vector<size_t>* out_lists,
-                         const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(out_lists != nullptr);
-  TRACLUS_DCHECK(first <= last && last <= store.size());
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block = options.block > 0 ? options.block : kDefaultRefineBlock;
-  const SegmentDistanceConfig& cfg = dist.config();
-
-  // One prune context per query, hoisted out of the block loop. Same
-  // thread_local staging story as EpsilonRefineImpl: everything else lives in
-  // caller-owned out_lists, so concurrent tiles on pool workers share
-  // nothing.
-  thread_local std::vector<PruneContext> prune;
-  thread_local std::vector<size_t> survivors;
-  thread_local std::vector<double> distances;
-  prune.clear();
-  for (const size_t q : queries) {
-    TRACLUS_DCHECK(q < store.size());
-    prune.push_back(MakePruneContext(store, dist, q, eps, options.prune));
-  }
-
+size_t EpsilonRefineTile(const SegmentDistance& dist,
+                         const traj::SegmentStore& query_store,
+                         common::Span<const size_t> queries,
+                         const traj::SegmentStore& cand_store,
+                         Candidates candidates, double eps,
+                         std::vector<size_t>* out_lists, BatchKernel kernel,
+                         RefineStats* stats) {
+  TRACLUS_DCHECK(out_lists != nullptr || queries.empty());
+  const Tile t(query_store, cand_store, dist, kernel);
   size_t appended = 0;
-  size_t pruned_total = 0;
-  size_t refined_total = 0;
-  // Candidate-block-major: each block's columns serve every query while hot.
-  // Per query, blocks arrive in ascending order and emission within a block
-  // preserves candidate order, so out_lists[qi] matches EpsilonRefineRange's
-  // emission exactly.
-  for (size_t base = first; base < last; base += block) {
-    const size_t hi = std::min(last, base + block);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t query = queries[qi];
-      survivors.clear();
-      for (size_t j = base; j < hi; ++j) {
-        // The query itself always survives (Definition 4 self-inclusion).
-        if (j != query && PrunedFar(prune[qi], store, j)) {
-          ++pruned_total;
-          continue;
-        }
-        survivors.push_back(j);
-      }
-      distances.resize(survivors.size());
-      BatchDispatch(
-          kernel, store, cfg, query, survivors.size(),
-          [&](size_t m) { return survivors[m]; }, distances.data());
-      refined_total += survivors.size();
-      for (size_t m = 0; m < survivors.size(); ++m) {
-        const size_t j = survivors[m];
-        if (j == query || distances[m] <= eps) {
-          out_lists[qi].push_back(j);
-          ++appended;
-        }
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->candidates += queries.size() * (last - first);
-    stats->pruned += pruned_total;
-    stats->refined += refined_total;
-    stats->accepted += appended;
-  }
+  WithCandidates(candidates, cand_store, [&](const auto& at) {
+    TileLoop(
+        t, dist, queries, at, candidates.size(), eps,
+        [&](size_t qi, size_t, size_t j, double, bool within) {
+          if (within) {
+            out_lists[qi].push_back(j);
+            ++appended;
+          }
+        },
+        stats);
+  });
+  if (stats != nullptr) stats->accepted += appended;
   return appended;
 }
 
-void NearestWithinEps(const traj::SegmentStore& store,
-                      const SegmentDistance& dist,
+void NearestWithinEps(const SegmentDistance& dist,
+                      const traj::SegmentStore& query_store,
                       common::Span<const size_t> queries,
-                      common::Span<const size_t> candidates, double eps,
+                      const traj::SegmentStore& cand_store,
+                      Candidates candidates, double eps,
                       common::Span<size_t> out_position,
-                      common::Span<double> out_distance,
-                      const BatchOptions& options) {
+                      common::Span<double> out_distance, BatchKernel kernel) {
   TRACLUS_DCHECK_EQ(queries.size(), out_position.size());
   TRACLUS_DCHECK_EQ(queries.size(), out_distance.size());
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block = options.block > 0 ? options.block : kDefaultRefineBlock;
-  const SegmentDistanceConfig& cfg = dist.config();
-
-  thread_local std::vector<PruneContext> prune;
-  thread_local std::vector<size_t> survivors;  // Positions into `candidates`.
-  thread_local std::vector<double> distances;
-  prune.clear();
-  for (const size_t q : queries) {
-    TRACLUS_DCHECK(q < store.size());
-    prune.push_back(MakePruneContext(store, dist, q, eps, options.prune));
-  }
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     out_position[qi] = kNoNearest;
     out_distance[qi] = std::numeric_limits<double>::infinity();
   }
-
-  // Candidate-block-major like the other tiles. The prune is against ε only
-  // (admissible for every true ≤-ε candidate), never against the running
-  // minimum, so the set of refined candidates — and with bit-identical
-  // distances, the strict-< argmin below — does not depend on block size,
-  // kernel, or evaluation order. Strict < keeps the earliest candidate on
-  // ties because positions are scanned in ascending order.
-  for (size_t base = 0; base < candidates.size(); base += block) {
-    const size_t hi = std::min(candidates.size(), base + block);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t query = queries[qi];
-      survivors.clear();
-      for (size_t pos = base; pos < hi; ++pos) {
-        const size_t j = candidates[pos];
-        TRACLUS_DCHECK(j < store.size());
-        if (j != query && PrunedFar(prune[qi], store, j)) continue;
-        survivors.push_back(pos);
-      }
-      distances.resize(survivors.size());
-      BatchDispatch(
-          kernel, store, cfg, query, survivors.size(),
-          [&](size_t m) { return candidates[survivors[m]]; },
-          distances.data());
-      for (size_t m = 0; m < survivors.size(); ++m) {
-        const double d = distances[m];
-        if (d <= eps && d < out_distance[qi]) {
-          out_distance[qi] = d;
-          out_position[qi] = survivors[m];
-        }
-      }
-    }
-  }
-}
-
-void NearestWithinEpsCross(const traj::SegmentStore& query_store,
-                           const SegmentDistance& dist,
-                           common::Span<const size_t> queries,
-                           const traj::SegmentStore& cand_store,
-                           common::Span<const size_t> candidates, double eps,
-                           common::Span<size_t> out_position,
-                           common::Span<double> out_distance,
-                           const BatchOptions& options) {
-  TRACLUS_DCHECK_EQ(queries.size(), out_position.size());
-  TRACLUS_DCHECK_EQ(queries.size(), out_distance.size());
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block = options.block > 0 ? options.block : kDefaultRefineBlock;
-  const SegmentDistanceConfig& cfg = dist.config();
-
-  thread_local std::vector<PruneContext> prune;
-  thread_local std::vector<size_t> survivors;  // Positions into `candidates`.
-  thread_local std::vector<double> distances;
-  prune.clear();
-  for (const size_t q : queries) {
-    TRACLUS_DCHECK(q < query_store.size());
-    prune.push_back(MakePruneContext(query_store, dist, q, eps, options.prune));
-  }
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    out_position[qi] = kNoNearest;
-    out_distance[qi] = std::numeric_limits<double>::infinity();
-  }
-
-  // Candidate-block-major like the one-store tile. The prune context carries
-  // only the query's midpoint/half-length and reads only the candidate
-  // store's columns, so it is cross-store-correct as-is; the ε-only prune
-  // plus bit-identical distances make the strict-< argmin independent of
-  // block size, kernel, and evaluation order here too.
-  for (size_t base = 0; base < candidates.size(); base += block) {
-    const size_t hi = std::min(candidates.size(), base + block);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t query = queries[qi];
-      survivors.clear();
-      for (size_t pos = base; pos < hi; ++pos) {
-        const size_t j = candidates[pos];
-        TRACLUS_DCHECK(j < cand_store.size());
-        if (PrunedFar(prune[qi], cand_store, j)) continue;
-        survivors.push_back(pos);
-      }
-      distances.resize(survivors.size());
-      BatchDispatchCross(
-          kernel, query_store, cand_store, cfg, query, survivors.size(),
-          [&](size_t m) { return candidates[survivors[m]]; },
-          distances.data());
-      for (size_t m = 0; m < survivors.size(); ++m) {
-        const double d = distances[m];
-        if (d <= eps && d < out_distance[qi]) {
-          out_distance[qi] = d;
-          out_position[qi] = survivors[m];
-        }
-      }
-    }
-  }
-}
-
-size_t EpsilonRefineRange(const traj::SegmentStore& store,
-                          const SegmentDistance& dist, size_t query,
-                          size_t first, size_t last, double eps,
-                          std::vector<size_t>& out_indices,
-                          const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(query < store.size());
-  TRACLUS_DCHECK(first <= last && last <= store.size());
-  return EpsilonRefineImpl(
-      store, dist, query, last - first,
-      [first](size_t k) { return first + k; }, eps, out_indices, options,
-      stats);
+  const Tile t(query_store, cand_store, dist, kernel);
+  // Positions reach the sink in ascending order per query, so the strict <
+  // keeps the earliest of tied minima.
+  WithCandidates(candidates, cand_store, [&](const auto& at) {
+    TileLoop(
+        t, dist, queries, at, candidates.size(), eps,
+        [&](size_t qi, size_t k, size_t, double d, bool within) {
+          if (within && d < out_distance[qi]) {
+            out_distance[qi] = d;
+            out_position[qi] = k;
+          }
+        },
+        nullptr);
+  });
 }
 
 common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
@@ -1197,8 +714,7 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
                                       BatchKernel kernel) {
   const size_t n = store.size();
   common::Matrix m(n, n, 0.0);
-  const BatchKernel resolved = ResolveBatchKernel(kernel);
-  const SegmentDistanceConfig& cfg = dist.config();
+  const Tile t(store, store, dist, kernel);
   // Upper-triangle tile fill. The chunk owning rows [lo, hi) walks candidate
   // blocks outermost so each block's SoA columns serve every row of the
   // chunk while hot; the ragged diagonal start (row i owns columns > i) only
@@ -1209,13 +725,13 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
   // so every element has exactly one writer and the matrix is identical for
   // every thread count. The diagonal stays 0 (dist(L, L) = 0).
   pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
-    for (size_t jb = lo + 1; jb < n; jb += kTileCandidateBlock) {
-      const size_t je = std::min(n, jb + kTileCandidateBlock);
+    for (size_t jb = lo + 1; jb < n; jb += kBlock) {
+      const size_t je = std::min(n, jb + kBlock);
       const size_t row_end = std::min(hi, je);
       for (size_t i = lo; i < row_end; ++i) {
         const size_t first = std::max(i + 1, jb);
         if (first >= je) continue;
-        RowRangeDispatch(resolved, store, cfg, i, first, je, &m(i, first));
+        Row(t, i, RangeAt{first}, je - first, &m(i, first));
       }
       for (size_t j = jb; j < je; ++j) {
         const size_t i_end = std::min(hi, j);
@@ -1229,8 +745,8 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps) {
-  const PruneContext p = MakePruneContext(store, dist, a, eps, true);
-  return a != b && PrunedFar(p, store, b);
+  const PruneContext p = MakePruneContext(store, dist, a, eps);
+  return a != b && p.usable && PrunedFar(p, store, b);
 }
 
 }  // namespace traclus::distance

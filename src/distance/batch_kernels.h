@@ -1,61 +1,50 @@
 #ifndef TRACLUS_DISTANCE_BATCH_KERNELS_H_
 #define TRACLUS_DISTANCE_BATCH_KERNELS_H_
 
-// Batched distance kernels over the SegmentStore's flat arrays — the ε-query
-// hot path of the grouping phase (Lemma 3), the parameter heuristic
-// (§4.2/§4.4), and the all-pairs consumers (distance matrix, entropy profile,
-// k-medoids). Two shapes share one arithmetic core:
+// The batched §2.3 distance: one tile loop that evaluates queries from one
+// SegmentStore against candidates from another (or the same) store. Every
+// ε-query of the grouping phase (Lemma 3) ends here, and so do the
+// parameter heuristic (§4.2/§4.4), the all-pairs consumers (distance
+// matrix, entropy profile, k-medoids), OPTICS, the sieve and sharded stages
+// and snapshot assignment.
 //
-//   * one-query-vs-many-candidates batches (DistanceBatch / EpsilonRefine),
-//     the refinement half of every ε-query, and
-//   * many-vs-many tiles (DistanceTile / EpsilonRefineTile /
-//     NearestWithinEps), which evaluate an M-query × N-candidate block
-//     candidate-block-major so each block of SoA columns is loaded once and
-//     reused across all M query rows — the all-pairs consumers' shape.
+//   candidates ──▶ lower-bound prune ──▶ hoisted row kernel ──▶ face
 //
-// Every ε-query in the pipeline decomposes into candidate generation (an
-// index emits segment indices) followed by refinement (the exact §2.3
-// three-component distance decides membership). This layer owns the
-// refinement half:
-//
-//   candidates ──▶ lower-bound prune ──▶ blocked batch distance ──▶ ≤ ε?
-//
+//   * Candidates are an index list or a [first, last) range, chosen once per
+//     call. The loop walks them in blocks of 256 (about 24 KiB of SoA
+//     columns, cache-resident while every query row of the call walks it).
 //   * The prune is a midpoint/half-length triangle inequality: every point
-//     of segment L lies within half_length(L) of midpoint(L), so
-//       mindist(Li, Lj) ≥ ‖mid_i − mid_j‖ − h_i − h_j,
-//     and with the provable factor c = min(w⊥/2, w∥) from
-//     SegmentDistance::LowerBoundFactor,
+//     of segment L lies within half_length(L) of midpoint(L), so with the
+//     provable factor c = min(w⊥/2, w∥) from SegmentDistance::LowerBoundFactor
 //       dist(Li, Lj) ≥ c · (‖mid_i − mid_j‖ − h_i − h_j).
 //     A candidate whose bound (with a conservative rounding margin) exceeds
-//     ε is provably outside the neighborhood and skips the full evaluation.
-//   * The batch kernels evaluate the surviving pairs with EXACTLY the
-//     floating-point expressions of the cached pair path
-//     SegmentDistance::operator()(store, i, j) — results are bit-identical,
-//     so every consumer (DBSCAN goldens included) can switch freely. The
-//     scalar kernel is a branch-light blocked loop over the shared canonical
-//     kernel; the SIMD kernel (AVX2, compile-time dispatch) runs four
-//     candidate lanes of the same operation sequence over the store's SoA
-//     coordinate columns. IEEE-754 vector lanes round identically to scalar
-//     ops, and the build forbids FP contraction (-ffp-contract=off), so the
-//     lanes are bit-identical too (tests/segment_distance_test.cc pins all
-//     of this on randomized, degenerate, tied, and 3-D segments).
+//     ε is provably outside the neighborhood and skips the evaluation.
+//   * The row kernel hoists the query's columns once per block and streams
+//     the candidates' columns, scalar or AVX2 (four candidate lanes). Both
+//     execute EXACTLY the floating-point expressions of the pair path
+//     SegmentDistance::operator()(store, i, j); IEEE-754 lanes round like
+//     scalar ops and the build forbids FP contraction, so every face is
+//     bit-identical to the pair path for every kernel, block split, store
+//     split and thread count (tests/segment_distance_test.cc pins this).
+//   * A call is same-store when &query_store == &cand_store. Only then does
+//     a candidate equal to the query skip the prune and count as within ε
+//     (Definition 4 self-inclusion). Chunk-local stores of a
+//     traj::ChunkedSegmentStore cache bit-identical invariants, so a
+//     cross-chunk call decides every pair exactly like the merged store.
 //
-// Consumers: the neighborhood providers (BruteForce/Grid/StrRTree) generate
-// candidates and delegate refinement here; PairwiseDistanceMatrix, the
-// entropy NeighborhoodProfile, and the k-medoids baseline ride the tile
-// family; OPTICS streams blocked DistanceBatch calls; the sieve stage
-// (core::SieveGroupStage) assigns through NearestWithinEps. Kernel selection
-// is a per-run knob (core::RunContext::distance_kernel, CLI --kernel
-// auto|scalar|simd); ParseBatchKernel below is the single string→kernel
-// parsing path in the tree — callers must not grow private switches.
+// The three faces differ only in what they keep of each distance: all of
+// them (DistanceTile), those within ε (EpsilonRefineTile), or the nearest
+// within ε (NearestWithinEps).
 //
-// Thread-safety contract: every kernel here is lock-free by construction —
-// inputs are the store's immutable SoA columns, outputs go to caller-owned
-// buffers, and the only cross-call state is thread_local staging inside
-// the refine pipeline. Concurrent calls from pool workers are safe with no
-// mutex and hence no capability annotations; kernels that grow shared
-// mutable state (e.g. a cross-query prune cache) must put it behind
-// common::Mutex with TRACLUS_GUARDED_BY.
+// Kernel selection is a per-run knob (core::RunContext::distance_kernel,
+// CLI --kernel auto|scalar|simd); ParseBatchKernel is the single
+// string→kernel parsing path in the tree.
+//
+// Thread-safety contract: the loop is lock-free by construction — inputs are
+// the stores' immutable columns, outputs go to caller-owned buffers, and the
+// only cross-call state is thread_local staging. Concurrent calls from pool
+// workers are safe with no mutex; state shared across calls would have to
+// sit behind common::Mutex with TRACLUS_GUARDED_BY.
 
 #include <cstddef>
 #include <string_view>
@@ -70,11 +59,11 @@
 
 namespace traclus::distance {
 
-/// Which refinement kernel evaluates a batch.
+/// Which row kernel evaluates a tile.
 enum class BatchKernel {
   kAuto = 0,    ///< kSimd when compiled in, else kScalar.
-  kScalar = 1,  ///< Blocked scalar loop over the shared canonical kernel.
-  kSimd = 2,    ///< AVX2 four-lane kernel over the SoA coordinate columns.
+  kScalar = 1,  ///< Hoisted scalar row loop.
+  kSimd = 2,    ///< AVX2 four-lane row loop over the SoA coordinate columns.
 };
 
 /// True when the SIMD kernel is compiled into this binary (AVX2 target).
@@ -102,209 +91,90 @@ const char* BatchKernelName(BatchKernel kernel);
 /// drift between callers.
 common::Result<BatchKernel> ParseBatchKernel(std::string_view name);
 
-/// Per-call counters of the ε-refine pipeline (for benchmarks and tuning:
-/// pruned / candidates is the prune rate).
+/// Counters of EpsilonRefineTile, accumulated over all query rows of a call
+/// (pruned / candidates is the prune rate).
 struct RefineStats {
-  size_t candidates = 0;  ///< Candidates examined.
+  size_t candidates = 0;  ///< Query × candidate pairs examined.
   size_t pruned = 0;      ///< Skipped by the lower bound (provably > ε).
   size_t refined = 0;     ///< Full three-component evaluations.
-  size_t accepted = 0;    ///< Emitted into the neighborhood.
+  size_t accepted = 0;    ///< Emitted into a neighborhood.
 };
 
-/// Tuning knobs of EpsilonRefine. Every setting yields identical output —
-/// the knobs trade only speed and scratch residency.
-struct BatchOptions {
-  BatchKernel kernel = BatchKernel::kAuto;
-  /// Candidates staged per prune/refine block; bounds scratch memory at
-  /// O(block). 0 = default (256).
-  size_t block = 0;
-  /// Disables the lower-bound prune (diagnostics; the full distance is then
-  /// evaluated for every candidate).
-  bool prune = true;
+/// The candidate set of one call, indexing the candidate store. Position k
+/// of a list is list[k] (any order, duplicates allowed); position k of a
+/// range is first + k.
+struct Candidates {
+  static Candidates List(common::Span<const size_t> indices) {
+    return Candidates{indices.data(), 0, indices.size()};
+  }
+  static Candidates Range(size_t first, size_t last) {
+    return Candidates{nullptr, first, last};
+  }
+  size_t size() const { return last - first; }
+
+  const size_t* list;  ///< nullptr for a range.
+  size_t first;
+  size_t last;
 };
 
-/// dist(query, candidates[k]) → out[k] for every candidate, bit-identical to
-/// SegmentDistance::operator()(store, query, candidates[k]).
-/// `out.size()` must equal `candidates.size()`.
-void DistanceBatch(const traj::SegmentStore& store,
-                   const SegmentDistance& dist, size_t query,
-                   common::Span<const size_t> candidates,
-                   common::Span<double> out,
-                   BatchKernel kernel = BatchKernel::kAuto);
-
-/// Contiguous-candidate variant: dist(query, first + k) → out[k] for the
-/// index range [first, last). `out.size()` must equal `last - first`.
-void DistanceBatchRange(const traj::SegmentStore& store,
-                        const SegmentDistance& dist, size_t query,
-                        size_t first, size_t last, common::Span<double> out,
-                        BatchKernel kernel = BatchKernel::kAuto);
-
-/// The batched ε-refine: appends to `out_indices` every candidate within
-/// distance `eps` of `query` (the query itself always passes when listed,
-/// mirroring Definition 4's self-inclusion), preserving candidate order.
-/// Exactly equivalent to the per-pair loop
-///   for j in candidates: if (j == query || dist(store, query, j) <= eps)
-/// but with lower-bound pruning and blocked batch evaluation. Returns the
-/// number of indices appended; `stats` (optional) accumulates counters.
-size_t EpsilonRefine(const traj::SegmentStore& store,
-                     const SegmentDistance& dist, size_t query,
-                     common::Span<const size_t> candidates, double eps,
-                     std::vector<size_t>& out_indices,
-                     const BatchOptions& options = {},
-                     RefineStats* stats = nullptr);
-
-/// Contiguous-candidate ε-refine over the index range [first, last) — the
-/// whole-database scan of the brute-force provider and the no-bound
-/// fallback, without materializing an index list.
-size_t EpsilonRefineRange(const traj::SegmentStore& store,
-                          const SegmentDistance& dist, size_t query,
-                          size_t first, size_t last, double eps,
-                          std::vector<size_t>& out_indices,
-                          const BatchOptions& options = {},
-                          RefineStats* stats = nullptr);
-
-/// Cross-store ε-refine: the query segment lives in `query_store` (local
-/// index `query`) while the candidates live in `cand_store` (local indices
-/// `candidates`) — the refinement step of the chunked out-of-core
-/// neighborhood, where the query's chunk and a candidate chunk are distinct
-/// chunk-local SegmentStores of one ChunkedSegmentStore.
-///
-/// For each candidate j with dist ≤ eps, appends `out_base + j` (the
-/// caller's global index for chunk-local j) to `out_indices`, preserving
-/// candidate order. Because chunk-local stores cache bit-identical
-/// invariants, the evaluation — Lemma 2 canonicalization included — executes
-/// the same floating-point operations as the one-store refine over a
-/// monolithic store, so results are bit-identical to EpsilonRefine on the
-/// merged database.
-///
-/// The candidates must not contain the query segment itself (Definition 4
-/// self-inclusion is a same-store concern; callers route the query's own
-/// chunk through EpsilonRefine). Runs the same blocked prune → batch →
-/// threshold pipeline as EpsilonRefine, with cross-store scalar and AVX2
-/// four-lane kernels (the lane gather resolves the Lemma 2 roles across the
-/// two stores); all kernels are bit-identical to the per-pair cross loop.
-size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
-                          const SegmentDistance& dist, size_t query,
-                          const traj::SegmentStore& cand_store,
-                          common::Span<const size_t> candidates, double eps,
-                          size_t out_base, std::vector<size_t>& out_indices,
-                          const BatchOptions& options = {},
-                          RefineStats* stats = nullptr);
-
-/// Contiguous-candidate cross-store ε-refine over cand_store indices
-/// [first, last) — the whole-chunk scan of the chunked brute-force provider
-/// and the no-bound fallback, without materializing an index list. Appends
-/// `out_base + j` for every accepted j, exactly like EpsilonRefineCross on
-/// the materialized range.
-size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
-                               const SegmentDistance& dist, size_t query,
-                               const traj::SegmentStore& cand_store,
-                               size_t first, size_t last, double eps,
-                               size_t out_base,
-                               std::vector<size_t>& out_indices,
-                               const BatchOptions& options = {},
-                               RefineStats* stats = nullptr);
-
-// ---------------------------------------------------------------------------
-// Many-vs-many tiles. All of them iterate candidate-block-major: a block of
-// ≤ 256 candidate columns is walked once per query row while it is hot in
-// cache, instead of streaming the full candidate set per query. Splitting a
-// batch into blocks never changes bits — each pair's evaluation (lane or
-// scalar) depends only on that pair — so every tile result is bit-identical
-// to the corresponding per-query batch call and to the pair path.
-// ---------------------------------------------------------------------------
-
-/// M-query × N-candidate distance tile:
-///   dist(queries[qi], candidates[k]) → out[qi * ldo + k]
-/// for every query/candidate combination, bit-identical to DistanceBatch per
-/// row. `ldo` is the leading dimension (row stride, in doubles) of the
-/// caller's row-major output block; it must be ≥ candidates.size().
-void DistanceTile(const traj::SegmentStore& store, const SegmentDistance& dist,
+/// dist(queries[qi], candidate k) → out[qi * ldo + k] for every query and
+/// candidate position. `ldo` (the row stride of the caller's row-major
+/// block, in doubles) must be ≥ candidates.size().
+void DistanceTile(const SegmentDistance& dist,
+                  const traj::SegmentStore& query_store,
                   common::Span<const size_t> queries,
-                  common::Span<const size_t> candidates, double* out,
-                  size_t ldo, BatchKernel kernel = BatchKernel::kAuto);
+                  const traj::SegmentStore& cand_store, Candidates candidates,
+                  double* out, size_t ldo,
+                  BatchKernel kernel = BatchKernel::kAuto);
 
-/// Contiguous-range tile: dist(query_first + qi, cand_first + k) →
-/// out[qi * ldo + k] over the index ranges [query_first, query_last) ×
-/// [cand_first, cand_last). `ldo` must be ≥ cand_last − cand_first.
-void DistanceTileRange(const traj::SegmentStore& store,
-                       const SegmentDistance& dist, size_t query_first,
-                       size_t query_last, size_t cand_first, size_t cand_last,
-                       double* out, size_t ldo,
-                       BatchKernel kernel = BatchKernel::kAuto);
-
-/// Many-query ε-refine tile over one shared candidate range: appends to
-/// out_lists[qi] exactly what
-///   EpsilonRefineRange(store, dist, queries[qi], first, last, eps,
-///                      out_lists[qi], options)
-/// would (same candidate-order emission, same Definition 4 self-inclusion),
-/// but evaluated candidate-block-major so each block's columns serve all
-/// queries. `out_lists` must point to queries.size() vectors. Returns the
-/// total number of indices appended; `stats` accumulates over all queries.
-size_t EpsilonRefineTile(const traj::SegmentStore& store,
-                         const SegmentDistance& dist,
-                         common::Span<const size_t> queries, size_t first,
-                         size_t last, double eps,
+/// Appends to out_lists[qi] every candidate index within `eps` of
+/// queries[qi], in candidate order — exactly the per-pair loop
+///   for j in candidates: if (self(q, j) || dist(q, j) <= eps) emit j
+/// where self(q, j) means a same-store call with j == q. `out_lists` must
+/// point to queries.size() vectors. Returns the number of indices appended;
+/// `stats` (optional) accumulates the counters.
+size_t EpsilonRefineTile(const SegmentDistance& dist,
+                         const traj::SegmentStore& query_store,
+                         common::Span<const size_t> queries,
+                         const traj::SegmentStore& cand_store,
+                         Candidates candidates, double eps,
                          std::vector<size_t>* out_lists,
-                         const BatchOptions& options = {},
+                         BatchKernel kernel = BatchKernel::kAuto,
                          RefineStats* stats = nullptr);
 
 /// "No candidate within ε" marker of NearestWithinEps.
 inline constexpr size_t kNoNearest = static_cast<size_t>(-1);
 
-/// Batch nearest-candidate assignment — the sieve stage's primitive
-/// (core::SieveGroupStage): for each query queries[qi], the candidate
-/// minimizing dist(store, query, candidates[·]) subject to dist ≤ eps, ties
-/// broken toward the earliest candidate in span order. Writes the winning
-/// *position within `candidates`* to out_position[qi] (kNoNearest when every
-/// candidate is farther than ε) and the winning distance to out_distance[qi]
-/// (+inf when none). Candidates are lower-bound pruned against ε only — never
-/// against the running minimum — so the refined set, and therefore the
-/// argmin, is independent of evaluation order; distances are bit-identical
-/// across kernels, so the assignment is too. Both out spans must have
+/// For each query, the candidate position with the smallest distance among
+/// those EpsilonRefineTile would keep, ties broken toward the earliest
+/// position. Writes the position to out_position[qi] (kNoNearest when none
+/// qualifies) and the distance to out_distance[qi] (+inf when none). The
+/// prune is against ε only, never against the running minimum, so the
+/// argmin does not depend on evaluation order. Both out spans must have
 /// queries.size() entries.
-void NearestWithinEps(const traj::SegmentStore& store,
-                      const SegmentDistance& dist,
+void NearestWithinEps(const SegmentDistance& dist,
+                      const traj::SegmentStore& query_store,
                       common::Span<const size_t> queries,
-                      common::Span<const size_t> candidates, double eps,
+                      const traj::SegmentStore& cand_store,
+                      Candidates candidates, double eps,
                       common::Span<size_t> out_position,
                       common::Span<double> out_distance,
-                      const BatchOptions& options = {});
-
-/// Cross-store NearestWithinEps — the frozen-snapshot assignment primitive
-/// (core::ClusterSnapshot::AssignSegments): queries index `query_store`,
-/// candidates index `cand_store`, and each query gets the candidate
-/// minimizing dist(query, candidate) subject to dist ≤ eps, ties broken
-/// toward the earliest candidate in span order. Same contract as the
-/// one-store overload (kNoNearest / +inf when no candidate qualifies; the
-/// prune is against ε only, so the argmin is independent of block size,
-/// kernel, and evaluation order) minus the self-exclusion special case —
-/// cross-store candidate lists never contain the query. Bit-identical
-/// across scalar/SIMD kernels and thread counts for the same reasons as
-/// the one-store tile.
-void NearestWithinEpsCross(const traj::SegmentStore& query_store,
-                           const SegmentDistance& dist,
-                           common::Span<const size_t> queries,
-                           const traj::SegmentStore& cand_store,
-                           common::Span<const size_t> candidates, double eps,
-                           common::Span<size_t> out_position,
-                           common::Span<double> out_distance,
-                           const BatchOptions& options = {});
+                      BatchKernel kernel = BatchKernel::kAuto);
 
 /// Kernel-selecting overload of PairwiseDistanceMatrix (segment_distance.h):
 /// the same symmetric n×n matrix, filled through upper-triangle tiles — the
 /// chunk owning rows [lo, hi) walks candidate blocks once for all its rows
-/// (DistanceTileRange shape) and writes the mirrored columns as a blocked
-/// transpose instead of a full-column stride per row. The chunk owning row i
-/// writes dist(i, j) and its mirror for every j > i, so every element has
-/// exactly one writer and the matrix is identical for every thread count;
-/// entries are bit-identical to the row-batched fill and the pair path.
+/// and writes the mirrored columns as a blocked transpose instead of a
+/// full-column stride per row. The chunk owning row i writes dist(i, j) and
+/// its mirror for every j > i, so every element has exactly one writer and
+/// the matrix is identical for every thread count; entries are bit-identical
+/// to the pair path.
 common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
                                       const SegmentDistance& dist,
                                       common::ThreadPool& pool,
                                       BatchKernel kernel);
 
-/// The exact prune predicate EpsilonRefine applies: true when the
+/// The exact prune predicate the tile loop applies: true when the
 /// midpoint/half-length bound (including its conservative rounding margin)
 /// proves dist(store, a, b) > eps. Admissibility — this never returns true
 /// for a true ε-neighbor — is what makes the refine exact; exposed so tests

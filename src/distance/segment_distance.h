@@ -133,10 +133,9 @@ common::Matrix PairwiseDistanceMatrix(
     const std::vector<geom::Segment>& segments, const SegmentDistance& dist,
     common::ThreadPool& pool);
 
-/// Store-backed overload: same matrix, each row streamed as one contiguous
-/// blocked batch through the one-vs-many kernels of distance/batch_kernels.h
-/// (bit-identical entries; kAuto kernel). A kernel-selecting overload lives
-/// in batch_kernels.h.
+/// Store-backed overload: same matrix, filled in upper-triangle tiles by the
+/// row kernels of distance/batch_kernels.h (bit-identical entries; kAuto
+/// kernel). A kernel-selecting overload lives in batch_kernels.h.
 common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
                                       const SegmentDistance& dist,
                                       common::ThreadPool& pool);

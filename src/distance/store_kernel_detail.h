@@ -1,17 +1,17 @@
 #ifndef TRACLUS_DISTANCE_STORE_KERNEL_DETAIL_H_
 #define TRACLUS_DISTANCE_STORE_KERNEL_DETAIL_H_
 
-// Internal: the store-backed canonical distance kernel shared by
-// SegmentDistance's pair fast path (distance/segment_distance.cc) and the
-// batched one-vs-many kernels (distance/batch_kernels.cc).
+// Internal: the store-backed canonical distance kernel of SegmentDistance's
+// pair path (distance/segment_distance.cc) and the Lemma 2 role decision it
+// shares with the tile loop (distance/batch_kernels.cc).
 //
 // Bit-identity across entry points is a hard invariant of this library (the
 // golden pipeline files pin it): every path that evaluates the §2.3 distance
 // over a SegmentStore must execute EXACTLY these floating-point expressions,
-// in exactly this order. Keeping the kernel in one header — instead of one
-// copy per call site — is what makes that invariant a structural property
-// rather than a test-enforced coincidence. Do not re-order, re-associate, or
-// "simplify" arithmetic here without regenerating the goldens.
+// in exactly this order — the tile loop's row kernels replay them on raw
+// columns, and the bitwise tests compare the two. Do not re-order,
+// re-associate, or "simplify" arithmetic here without regenerating the
+// goldens.
 //
 // Not part of the public API; include only from distance/ implementation
 // files and white-box tests.
@@ -24,11 +24,7 @@
 #include "geom/vector_ops.h"
 #include "traj/segment_store.h"
 
-namespace traclus::distance {
-
-struct DistanceComponents;
-
-namespace internal {
+namespace traclus::distance::internal {
 
 // Lexicographic endpoint comparison; final deterministic tie-break of the
 // Lemma 2 canonical ordering.
@@ -90,26 +86,17 @@ inline void CanonicalizeInStore(const traj::SegmentStore& store,
 //     cached lengths, which is bit-identical to CosAngleBetween's
 //     Dot / (Norm() * Norm()) because length(i) ≡ Direction().Norm().
 //
-// `Sink` receives (perpendicular, parallel, angle); it lets the pair path
-// build a DistanceComponents and the batch path fold the weighted sum
-// without an intermediate struct, with identical arithmetic either way.
-// Two-store form: Li comes from `si`, Lj from `sj`. Because chunk-local
-// stores cache bit-identical invariants for the same segments, evaluating a
-// pair across two chunk stores executes the same floating-point operations
-// on the same bits as evaluating it inside the monolithic store — the
-// chunked grouping path inherits bit-identity from this.
+// `Sink` receives (perpendicular, parallel, angle).
 template <typename Sink>
-inline void CrossComponentsCanonicalInto(const traj::SegmentStore& si,
-                                         size_t li,
-                                         const traj::SegmentStore& sj,
-                                         size_t lj, bool directed,
+inline void StoreComponentsCanonicalInto(const traj::SegmentStore& store,
+                                         size_t li, size_t lj, bool directed,
                                          Sink&& sink) {
-  const geom::Segment& i_seg = si.segment(li);
-  const geom::Segment& j_seg = sj.segment(lj);
+  const geom::Segment& i_seg = store.segment(li);
+  const geom::Segment& j_seg = store.segment(lj);
   const geom::Point& s = i_seg.start();
   const geom::Point& e = i_seg.end();
-  const geom::Point& se = si.direction(li);
-  const double denom = si.squared_length(li);
+  const geom::Point& se = store.direction(li);
+  const double denom = store.squared_length(li);
 
   // ProjectOntoLine(p, s, e), with se and ||se||² read from the cache.
   const auto project = [&](const geom::Point& p) {
@@ -135,18 +122,18 @@ inline void CrossComponentsCanonicalInto(const traj::SegmentStore& si,
   const double parallel = std::min(lpar1, lpar2);
 
   // Angle (Definition 3), directed or undirected.
-  const double len_j = sj.length(lj);
+  const double len_j = store.length(lj);
   if (len_j == 0.0) {
     // Point-like Lj has no directional strength.
     sink(perpendicular, parallel, 0.0);
     return;
   }
-  const double len_i = si.length(li);
+  const double len_i = store.length(li);
   // CosAngleBetween with the norms read from the cache.
   const double cos_theta =
       len_i == 0.0
           ? 1.0
-          : std::clamp(geom::Dot(si.direction(li), sj.direction(lj)) /
+          : std::clamp(geom::Dot(store.direction(li), store.direction(lj)) /
                            (len_i * len_j),
                        -1.0, 1.0);
   if (directed && cos_theta <= 0.0) {
@@ -158,52 +145,6 @@ inline void CrossComponentsCanonicalInto(const traj::SegmentStore& si,
   sink(perpendicular, parallel, len_j * sin_theta);
 }
 
-// One-store form: both segments resolved from the same store (the historical
-// entry point; delegates to the two-store kernel with the store bound to
-// both sides, which compiles to the identical instruction stream).
-template <typename Sink>
-inline void StoreComponentsCanonicalInto(const traj::SegmentStore& store,
-                                         size_t li, size_t lj, bool directed,
-                                         Sink&& sink) {
-  CrossComponentsCanonicalInto(store, li, store, lj, directed,
-                               std::forward<Sink>(sink));
-}
-
-// Full weighted distance across two stores for an already-canonicalized
-// (longer, shorter) role assignment; same left-to-right weighted fold as
-// StoreWeightedCanonical.
-inline double CrossWeightedCanonical(const traj::SegmentStore& si, size_t li,
-                                     const traj::SegmentStore& sj, size_t lj,
-                                     bool directed, double w_perpendicular,
-                                     double w_parallel, double w_angle) {
-  double total = 0.0;
-  CrossComponentsCanonicalInto(
-      si, li, sj, lj, directed,
-      [&](double perpendicular, double parallel, double angle) {
-        total = w_perpendicular * perpendicular + w_parallel * parallel +
-                w_angle * angle;
-      });
-  return total;
-}
-
-// Full weighted distance for an already-canonicalized (longer, shorter)
-// pair; the weighted sum folds left-to-right exactly like
-// SegmentDistance::operator().
-inline double StoreWeightedCanonical(const traj::SegmentStore& store,
-                                     size_t li, size_t lj, bool directed,
-                                     double w_perpendicular, double w_parallel,
-                                     double w_angle) {
-  double total = 0.0;
-  StoreComponentsCanonicalInto(
-      store, li, lj, directed,
-      [&](double perpendicular, double parallel, double angle) {
-        total = w_perpendicular * perpendicular + w_parallel * parallel +
-                w_angle * angle;
-      });
-  return total;
-}
-
-}  // namespace internal
-}  // namespace traclus::distance
+}  // namespace traclus::distance::internal
 
 #endif  // TRACLUS_DISTANCE_STORE_KERNEL_DETAIL_H_

@@ -37,13 +37,17 @@ void SweepUpperTriangle(const traj::SegmentStore& store,
                         distance::BatchKernel kernel, size_t lo, size_t hi,
                         size_t n, const VisitFn& visit) {
   std::vector<double> tile(kTileRows * kRowSlice);
+  std::vector<size_t> rows;
   for (size_t ib = lo; ib < hi; ib += kTileRows) {
     const size_t ie = std::min(hi, ib + kTileRows);
+    rows.clear();
+    for (size_t i = ib; i < ie; ++i) rows.push_back(i);
     for (size_t jb = ib + 1; jb < n; jb += kRowSlice) {
       const size_t je = std::min(n, jb + kRowSlice);
       const size_t width = je - jb;
-      distance::DistanceTileRange(store, dist, ib, ie, jb, je, tile.data(),
-                                  width, kernel);
+      distance::DistanceTile(dist, store, rows, store,
+                             distance::Candidates::Range(jb, je), tile.data(),
+                             width, kernel);
       for (size_t i = ib; i < ie; ++i) {
         const double* row = tile.data() + (i - ib) * width;
         for (size_t j = std::max(i + 1, jb); j < je; ++j) {

@@ -12,11 +12,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/neighbor_cache_file.h"
 #include "cluster/neighborhood.h"
+#include "cluster/neighborhood_index.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "datagen/hurricane_generator.h"
@@ -55,6 +58,32 @@ std::vector<geom::Segment> BaseSegments() {
 }
 
 constexpr double kEps = 2.5;
+
+// The files in `dir`, by name.
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().string());
+  }
+  return files;
+}
+
+// The cluster labels of the committed hurricane golden run (ε = 0.94,
+// MinLns = 5), as tools/golden_gen.cc wrote them.
+std::vector<int> HurricaneGoldenLabels() {
+  std::ifstream in(std::string(TRACLUS_TEST_GOLDEN_DIR) +
+                   "/hurricane_default.golden");
+  EXPECT_TRUE(in.good());
+  std::vector<int> labels;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("labels ", 0) != 0) continue;
+    std::istringstream row(line.substr(7));
+    int label = 0;
+    while (row >> label) labels.push_back(label);
+  }
+  return labels;
+}
 
 TEST(NeighborCacheKeyTest, EveryKeyInputPerturbationChangesTheKey) {
   const traj::SegmentStore store(BaseSegments());
@@ -322,6 +351,112 @@ TEST(NeighborCacheFileTest, EngineRunsAreByteIdenticalColdWarmAndUncached) {
   const auto via_ctx = plain->Run(db, ctx);
   ASSERT_TRUE(via_ctx.ok());
   EXPECT_EQ(via_ctx->clustering.labels, expect->clustering.labels);
+}
+
+TEST(NeighborCacheFileTest, ConcurrentColdWritersShareOneDirectory) {
+  // Two cold runs racing on one directory: each writer has its own temp
+  // file, so both succeed and both serve the base provider's lists.
+  const traj::SegmentStore store(BaseSegments());
+  const distance::SegmentDistance dist;
+  const BruteForceNeighborhood base(store, dist);
+  const auto expect = base.AllNeighbors(kEps, common::SharedPool(1));
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::string dir = CacheDir("concurrent_writers");
+    std::vector<std::vector<std::vector<size_t>>> served(2);
+    std::vector<common::Status> status(2, common::Status::OK());
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < 2; ++w) {
+      writers.emplace_back([&, w] {
+        auto cache = FileNeighborhoodCache::Create(
+            base, store, dist.config(), kEps, dir, common::SharedPool(1));
+        status[w] = cache.status();
+        if (cache.ok()) {
+          served[w] = (*cache)->AllNeighbors(kEps, common::SharedPool(1));
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    for (size_t w = 0; w < 2; ++w) {
+      ASSERT_TRUE(status[w].ok()) << "trial " << trial << " writer " << w
+                                  << ": " << status[w].ToString();
+      EXPECT_EQ(served[w], expect) << "trial " << trial << " writer " << w;
+    }
+    // No temp file is left behind: the directory holds the one cache file.
+    EXPECT_EQ(FilesIn(dir).size(), 1u) << "trial " << trial;
+  }
+}
+
+TEST(NeighborCacheFileTest, OutOfRangePayloadIndexIsRecomputed) {
+  const std::string dir = CacheDir("bad_payload_index");
+  const traj::TrajectoryDatabase db =
+      datagen::GenerateHurricanes(datagen::HurricaneConfig{});
+  core::DbscanGroupOptions group;
+  group.eps = 0.94;
+  group.min_lns = 5.0;
+  core::SweepRepresentativeOptions reps;
+  reps.min_lns = group.min_lns;
+  const auto engine = core::TraclusEngine::Builder()
+                          .UseMdlPartitioning()
+                          .UseDbscanGrouping(group)
+                          .UseSweepRepresentatives(reps)
+                          .WithNeighborCache(dir)
+                          .Build();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::vector<int> golden = HurricaneGoldenLabels();
+  ASSERT_FALSE(golden.empty());
+
+  const auto cold = engine->Run(db);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->clustering.labels, golden);
+  const std::vector<std::string> files = FilesIn(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string path = files.front();
+
+  // The same inputs through the raw API hit the engine's file.
+  const traj::SegmentStore& store = cold->store;
+  const distance::SegmentDistance dist;
+  const GridNeighborhoodIndex base(store, dist);
+  common::ThreadPool& pool = common::SharedPool(2);
+  {
+    auto warm = FileNeighborhoodCache::Create(base, store, dist.config(),
+                                              group.eps, dir, pool);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_TRUE((*warm)->loaded_from_file());
+  }
+
+  // Overwrites the first payload index (the header is magic, version, key,
+  // n, ε and the index count, then n + 1 offsets) with n + 7777.
+  const auto corrupt_first_index = [&path] {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    uint64_t n = 0;
+    f.seekg(16);
+    f.read(reinterpret_cast<char*>(&n), sizeof(n));
+    const uint64_t bad = n + 7777;
+    f.seekp(static_cast<std::streamoff>(40 + (n + 1) * sizeof(uint64_t)));
+    f.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
+    ASSERT_TRUE(f.good());
+  };
+
+  corrupt_first_index();
+  {
+    auto reopened = FileNeighborhoodCache::Create(base, store, dist.config(),
+                                                  group.eps, dir, pool);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_FALSE((*reopened)->loaded_from_file());
+    EXPECT_EQ((*reopened)->Neighbors(0, group.eps),
+              base.Neighbors(0, group.eps));
+  }
+
+  // A run over the corrupted file recomputes and reproduces the golden.
+  corrupt_first_index();
+  const auto rerun = engine->Run(db);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(rerun->clustering.labels, golden);
+  auto healed = FileNeighborhoodCache::Create(base, store, dist.config(),
+                                              group.eps, dir, pool);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_TRUE((*healed)->loaded_from_file());
 }
 
 }  // namespace

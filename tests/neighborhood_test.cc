@@ -9,7 +9,6 @@
 
 #include "cluster/neighborhood.h"
 #include "cluster/neighborhood_index.h"
-#include "cluster/rtree_index.h"
 #include "traj/segment_store.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -309,11 +308,9 @@ TEST(ProviderKernelTest, AllProvidersAgreeForEveryCompiledKernel) {
   for (const distance::BatchKernel kernel : kernels) {
     const BruteForceNeighborhood brute(segs, dist, kernel);
     const GridNeighborhoodIndex grid(segs, dist, 0.0, kernel);
-    const StrRTreeIndex rtree(segs, dist, 16, kernel);
     for (size_t i = 0; i < segs.size(); ++i) {
       EXPECT_EQ(brute.Neighbors(i, eps), expect[i]) << "brute query " << i;
       EXPECT_EQ(grid.Neighbors(i, eps), expect[i]) << "grid query " << i;
-      EXPECT_EQ(rtree.Neighbors(i, eps), expect[i]) << "rtree query " << i;
     }
   }
 }

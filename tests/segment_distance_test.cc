@@ -15,6 +15,7 @@
 #include "distance/batch_kernels.h"
 #include "distance/endpoint_distance.h"
 #include "distance/segment_distance.h"
+#include "traj/chunked_store.h"
 #include "traj/segment_store.h"
 
 namespace traclus::distance {
@@ -297,14 +298,16 @@ TEST(EndpointDistanceTest, IdenticalSegmentsAreZeroUnderAllMeasures) {
   EXPECT_DOUBLE_EQ(NearestEndpointSumDistance(s, s), 0.0);
 }
 
-// --- Batched kernels (distance/batch_kernels.h): bitwise equality with the
-// --- cached pair path, refine equivalence at every block size, and prune
-// --- admissibility.
+// --- The tile primitive (distance/batch_kernels.h): bitwise equality of
+// --- all three faces with the cached pair path, and prune admissibility.
 
 // Adversarial segment corpus: general-position, degenerate (point-like),
 // exactly tied lengths (translates, with and without usable ids), shared
 // endpoints, and collinear chains — every branch of the canonical kernel.
-traj::SegmentStore AdversarialStore(uint64_t seed, bool three_d) {
+// `copies` repeats the 63-segment recipe (fresh draws, fresh ids) to reach
+// store sizes past the tile loop's 256-candidate block.
+traj::SegmentStore AdversarialStore(uint64_t seed, bool three_d,
+                                    int copies = 1) {
   common::Rng rng(seed);
   std::vector<Segment> segs;
   auto random_point = [&](double lo, double hi) {
@@ -317,33 +320,35 @@ traj::SegmentStore AdversarialStore(uint64_t seed, bool three_d) {
     return k % 7 == 3 ? geom::SegmentId{-1}
                       : static_cast<geom::SegmentId>(k);
   };
-  // General position.
-  for (int i = 0; i < 40; ++i) {
-    segs.emplace_back(random_point(-50, 50), random_point(-50, 50),
-                      id_of(segs.size()),
-                      static_cast<geom::TrajectoryId>(i % 5));
-  }
-  // Point-like (zero-length) segments.
-  for (int i = 0; i < 6; ++i) {
-    const Point p = random_point(-50, 50);
-    segs.emplace_back(p, p, id_of(segs.size()), 0);
-  }
-  // Exact translates: identical FP lengths, so the Lemma 2 tie-breaks fire.
-  for (int i = 0; i < 6; ++i) {
-    const Point s = random_point(-40, 40);
-    const Point d = random_point(-5, 5);
-    const Point shift = random_point(-20, 20);
-    segs.emplace_back(s, s + d, id_of(segs.size()), 1);
-    segs.emplace_back(s + shift, s + shift + d, id_of(segs.size()), 2);
-  }
-  // Shared endpoints / collinear chain (zero parallel / zero perpendicular
-  // regimes).
-  const Point base = random_point(-10, 10);
-  const Point step = three_d ? Point(7, 0, 0) : Point(7, 0);
-  for (int i = 0; i < 5; ++i) {
-    segs.emplace_back(base + step * static_cast<double>(i),
-                      base + step * static_cast<double>(i + 1),
-                      id_of(segs.size()), 3);
+  for (int copy = 0; copy < copies; ++copy) {
+    // General position.
+    for (int i = 0; i < 40; ++i) {
+      segs.emplace_back(random_point(-50, 50), random_point(-50, 50),
+                        id_of(segs.size()),
+                        static_cast<geom::TrajectoryId>(i % 5));
+    }
+    // Point-like (zero-length) segments.
+    for (int i = 0; i < 6; ++i) {
+      const Point p = random_point(-50, 50);
+      segs.emplace_back(p, p, id_of(segs.size()), 0);
+    }
+    // Exact translates: identical FP lengths, so the Lemma 2 tie-breaks fire.
+    for (int i = 0; i < 6; ++i) {
+      const Point s = random_point(-40, 40);
+      const Point d = random_point(-5, 5);
+      const Point shift = random_point(-20, 20);
+      segs.emplace_back(s, s + d, id_of(segs.size()), 1);
+      segs.emplace_back(s + shift, s + shift + d, id_of(segs.size()), 2);
+    }
+    // Shared endpoints / collinear chain (zero parallel / zero perpendicular
+    // regimes).
+    const Point base = random_point(-10, 10);
+    const Point step = three_d ? Point(7, 0, 0) : Point(7, 0);
+    for (int i = 0; i < 5; ++i) {
+      segs.emplace_back(base + step * static_cast<double>(i),
+                        base + step * static_cast<double>(i + 1),
+                        id_of(segs.size()), 3);
+    }
   }
   return traj::SegmentStore(std::move(segs));
 }
@@ -377,76 +382,163 @@ void ExpectBitEqual(double a, double b, const char* what, size_t q, size_t j) {
                     << "): " << a << " vs " << b;
 }
 
-TEST(BatchKernelTest, DistanceBatchBitIdenticalToCachedPairPath) {
-  for (const bool three_d : {false, true}) {
-    const traj::SegmentStore store = AdversarialStore(19, three_d);
-    const size_t n = store.size();
-    std::vector<size_t> all(n);
-    for (size_t i = 0; i < n; ++i) all[i] = i;
-    for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
-      const SegmentDistance dist(cfg);
-      for (const BatchKernel kernel : CompiledKernels()) {
-        std::vector<double> out(n);
-        for (size_t q = 0; q < n; ++q) {
-          DistanceBatch(store, dist, q,
-                        common::Span<const size_t>(all.data(), n),
-                        common::Span<double>(out.data(), n), kernel);
-          for (size_t j = 0; j < n; ++j) {
-            ExpectBitEqual(out[j], dist(store, q, j),
-                           BatchKernelName(kernel), q, j);
-          }
-        }
-      }
-    }
-  }
-}
+// One call of the tile primitive and its pair-path reference: queries index
+// `qs`, candidates index `cs`, and global index = local index + base in the
+// reference store both sides were cut from.
+struct TileCall {
+  const char* name;
+  const traj::SegmentStore* qs;
+  size_t q_base;
+  std::vector<size_t> queries;
+  const traj::SegmentStore* cs;
+  size_t c_base;
+  bool use_list;
+  std::vector<size_t> list;  // When use_list.
+  size_t first = 0;          // Otherwise the range [first, first + count).
+  size_t count = 0;
 
-TEST(BatchKernelTest, DistanceBatchRangeMatchesIndexedBatch) {
-  const traj::SegmentStore store = AdversarialStore(23, false);
-  const SegmentDistance dist;
+  Candidates candidates() const {
+    return use_list ? Candidates::List(list)
+                    : Candidates::Range(first, first + count);
+  }
+  size_t size() const { return use_list ? list.size() : count; }
+  size_t at(size_t k) const { return use_list ? list[k] : first + k; }
+  bool self(size_t q, size_t j) const { return qs == cs && q == j; }
+};
+
+// Candidate counts straddling the fixed 256-candidate block: one lane, a
+// partial block, an exact block, one past it, and two blocks plus one.
+constexpr size_t kTileCounts[] = {1, 255, 256, 257, 513};
+
+// Every call shape for candidate count `c`: same-store range and strided
+// list with duplicates over the whole store, and cross-store calls between
+// the chunk-local stores of a ChunkedSegmentStore and against the whole
+// store (so the query's own segment is a candidate in a *different* store).
+std::vector<TileCall> TileCalls(const traj::SegmentStore& store,
+                                const traj::SegmentStore& chunk0,
+                                const traj::SegmentStore& chunk1, size_t c) {
   const size_t n = store.size();
-  for (const BatchKernel kernel : CompiledKernels()) {
-    std::vector<double> out(n - 5);
-    DistanceBatchRange(store, dist, 2, 5, n,
-                       common::Span<double>(out.data(), out.size()), kernel);
-    for (size_t j = 5; j < n; ++j) {
-      ExpectBitEqual(out[j - 5], dist(store, 2, j), "range", 2, j);
-    }
+  const size_t m0 = chunk0.size();
+  const std::vector<size_t> queries = {0, 3, 10, 101, 101, 257, n - 1};
+  const std::vector<size_t> chunk_queries = {0, 3, 10, 101, m0 - 1};
+  // Strided over half the store: duplicates once c > n / 2, and it hits
+  // queries 3, 10 and 101.
+  std::vector<size_t> strided(c);
+  for (size_t k = 0; k < c; ++k) strided[k] = (k * 7 + 3) % (n / 2);
+  std::vector<size_t> strided1(c);
+  for (size_t k = 0; k < c; ++k) strided1[k] = (k * 5 + 1) % chunk1.size();
+
+  std::vector<TileCall> calls;
+  calls.push_back({"same-range", &store, 0, queries, &store, 0, false, {},
+                   n - c, c});
+  calls.push_back({"same-list", &store, 0, queries, &store, 0, true, strided});
+  calls.push_back({"chunk-same-list", &chunk0, 0, chunk_queries, &chunk0, 0,
+                   true, strided1});
+  calls.push_back({"cross-chunk-list", &chunk0, 0, chunk_queries, &chunk1, m0,
+                   true, strided1});
+  if (c <= chunk1.size()) {
+    calls.push_back({"cross-chunk-range", &chunk0, 0, chunk_queries, &chunk1,
+                     m0, false, {}, chunk1.size() - c, c});
   }
+  calls.push_back({"whole-vs-chunk-list", &store, 0, queries, &chunk0, 0,
+                   true, strided});
+  return calls;
 }
 
-TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
+TEST(TilePrimitiveTest, FacesMatchPerPairReferenceBitForBit) {
   for (const bool three_d : {false, true}) {
-    const traj::SegmentStore store = AdversarialStore(29, three_d);
-    const size_t n = store.size();
-    std::vector<size_t> all(n);
-    for (size_t i = 0; i < n; ++i) all[i] = i;
+    const traj::SegmentStore store = AdversarialStore(19, three_d, 18);
+    ASSERT_GE(store.size(), 1000u);
+    traj::ChunkedStoreOptions chunking;
+    chunking.chunk_capacity = (store.size() + 1) / 2;
+    traj::ChunkedSegmentStore chunked(chunking);
+    ASSERT_TRUE(chunked.AppendAll(store.segments()).ok());
+    ASSERT_TRUE(chunked.Finalize().ok());
+    ASSERT_EQ(chunked.num_chunks(), 2u);
+    const auto chunk0 = chunked.Chunk(0);
+    const auto chunk1 = chunked.Chunk(1);
+    ASSERT_TRUE(chunk0.ok() && chunk1.ok());
+    ASSERT_GE((*chunk1)->size(), 513u);
+
     for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
       const SegmentDistance dist(cfg);
-      for (const double eps : {0.01, 2.0, 9.0, 40.0}) {
-        for (size_t q = 0; q < n; q += 3) {
-          // The reference: the per-pair cached path, candidate order kept.
-          std::vector<size_t> expect;
-          for (const size_t j : all) {
-            if (j == q || dist(store, q, j) <= eps) expect.push_back(j);
+      for (const size_t c : kTileCounts) {
+        for (const TileCall& call : TileCalls(store, **chunk0, **chunk1, c)) {
+          const size_t nq = call.queries.size();
+          const size_t nc = call.size();
+          // The reference: the cached pair path on the whole store.
+          std::vector<double> ref(nq * nc);
+          for (size_t qi = 0; qi < nq; ++qi) {
+            for (size_t k = 0; k < nc; ++k) {
+              ref[qi * nc + k] = dist(store, call.q_base + call.queries[qi],
+                                      call.c_base + call.at(k));
+            }
           }
           for (const BatchKernel kernel : CompiledKernels()) {
-            for (const size_t block : {size_t{1}, size_t{2}, size_t{3},
-                                       size_t{7}, size_t{256}}) {
-              BatchOptions options;
-              options.kernel = kernel;
-              options.block = block;
-              std::vector<size_t> got;
+            SCOPED_TRACE(testing::Message()
+                         << call.name << " count " << c << " "
+                         << BatchKernelName(kernel) << (three_d ? " 3-D" : ""));
+            // DistanceTile: every bit, and nothing past the row width.
+            const size_t ldo = nc + 3;
+            std::vector<double> tile(nq * ldo, -1.0);
+            DistanceTile(dist, *call.qs, call.queries, *call.cs,
+                         call.candidates(), tile.data(), ldo, kernel);
+            for (size_t qi = 0; qi < nq; ++qi) {
+              for (size_t k = 0; k < nc; ++k) {
+                ExpectBitEqual(tile[qi * ldo + k], ref[qi * nc + k], "tile",
+                               call.queries[qi], call.at(k));
+              }
+              for (size_t k = nc; k < ldo; ++k) {
+                EXPECT_EQ(tile[qi * ldo + k], -1.0) << "wrote past row";
+              }
+            }
+            // ε = −1 admits nothing but Definition 4 self-inclusion, which
+            // the reference grants only when qs == cs: the whole-vs-chunk
+            // call holds each query's own segment in another store.
+            for (const double eps : {-1.0, 0.01, 2.0, 9.0, 1e300}) {
+              std::vector<std::vector<size_t>> expect(nq);
+              std::vector<size_t> expect_pos(nq, kNoNearest);
+              std::vector<double> expect_dist(
+                  nq, std::numeric_limits<double>::infinity());
+              size_t expect_total = 0;
+              for (size_t qi = 0; qi < nq; ++qi) {
+                for (size_t k = 0; k < nc; ++k) {
+                  const double d = ref[qi * nc + k];
+                  if (!call.self(call.queries[qi], call.at(k)) && !(d <= eps)) {
+                    continue;
+                  }
+                  expect[qi].push_back(call.at(k));
+                  ++expect_total;
+                  if (d < expect_dist[qi]) {
+                    expect_dist[qi] = d;
+                    expect_pos[qi] = k;
+                  }
+                }
+              }
+
+              std::vector<std::vector<size_t>> lists(nq);
               RefineStats stats;
-              EpsilonRefine(store, dist, q,
-                            common::Span<const size_t>(all.data(), n), eps,
-                            got, options, &stats);
-              EXPECT_EQ(got, expect)
-                  << BatchKernelName(kernel) << " block " << block << " eps "
-                  << eps << " query " << q;
-              EXPECT_EQ(stats.candidates, n);
-              EXPECT_EQ(stats.pruned + stats.refined, n);
-              EXPECT_EQ(stats.accepted, got.size());
+              const size_t appended =
+                  EpsilonRefineTile(dist, *call.qs, call.queries, *call.cs,
+                                    call.candidates(), eps, lists.data(),
+                                    kernel, &stats);
+              EXPECT_EQ(lists, expect) << "eps " << eps;
+              EXPECT_EQ(appended, expect_total);
+              EXPECT_EQ(stats.candidates, nq * nc);
+              EXPECT_EQ(stats.pruned + stats.refined, nq * nc);
+              EXPECT_EQ(stats.accepted, expect_total);
+
+              std::vector<size_t> pos(nq);
+              std::vector<double> dmin(nq);
+              NearestWithinEps(dist, *call.qs, call.queries, *call.cs,
+                               call.candidates(), eps,
+                               common::Span<size_t>(pos.data(), nq),
+                               common::Span<double>(dmin.data(), nq), kernel);
+              EXPECT_EQ(pos, expect_pos) << "eps " << eps;
+              for (size_t qi = 0; qi < nq; ++qi) {
+                ExpectBitEqual(dmin[qi], expect_dist[qi], "nearest",
+                               call.queries[qi], expect_pos[qi]);
+              }
             }
           }
         }
@@ -482,7 +574,9 @@ TEST(BatchKernelTest, PruneIsAdmissible) {
           }
         }
         // The sweep must actually exercise the prune somewhere.
-        if (eps <= 1.0) EXPECT_GT(pruned, 0u);
+        if (eps <= 1.0) {
+          EXPECT_GT(pruned, 0u);
+        }
       }
     }
   }
@@ -499,165 +593,6 @@ TEST(BatchKernelTest, PairwiseMatrixBatchedMatchesPerPair) {
         for (size_t j = 0; j < store.size(); ++j) {
           ExpectBitEqual(m(i, j), i == j ? 0.0 : dist(store, i, j), "matrix",
                          i, j);
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchKernelTest, DistanceTileBitIdenticalToBatchAndPairPath) {
-  // Every (query-block, candidate-block) shape — 1×1, ragged, skewed, full —
-  // must produce the same bits as the one-vs-many batch and the cached pair
-  // path. The tile is just a loop arrangement; splitting or regrouping a
-  // batch must never change a single bit.
-  for (const bool three_d : {false, true}) {
-    const traj::SegmentStore store = AdversarialStore(53, three_d);
-    const size_t n = store.size();
-    const std::vector<std::pair<size_t, size_t>> shapes = {
-        {1, 1}, {1, n}, {n, 1}, {3, 7}, {5, n - 3}, {n, n}};
-    for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
-      const SegmentDistance dist(cfg);
-      for (const BatchKernel kernel : CompiledKernels()) {
-        for (const auto& [mq, nc] : shapes) {
-          // Strided (and so possibly duplicated) index sets: tiles must not
-          // assume sorted or unique rows/columns.
-          std::vector<size_t> queries(mq), cands(nc);
-          for (size_t i = 0; i < mq; ++i) queries[i] = (i * 5 + 1) % n;
-          for (size_t j = 0; j < nc; ++j) cands[j] = (j * 3 + 2) % n;
-          const size_t ldo = nc + 3;  // Padded stride must be respected.
-          std::vector<double> tile(mq * ldo, -1.0);
-          DistanceTile(store, dist,
-                       common::Span<const size_t>(queries.data(), mq),
-                       common::Span<const size_t>(cands.data(), nc),
-                       tile.data(), ldo, kernel);
-          std::vector<double> row(nc);
-          for (size_t qi = 0; qi < mq; ++qi) {
-            DistanceBatch(store, dist, queries[qi],
-                          common::Span<const size_t>(cands.data(), nc),
-                          common::Span<double>(row.data(), nc), kernel);
-            for (size_t j = 0; j < nc; ++j) {
-              ExpectBitEqual(tile[qi * ldo + j], row[j], "tile-vs-batch", qi,
-                             j);
-              ExpectBitEqual(tile[qi * ldo + j],
-                             dist(store, queries[qi], cands[j]),
-                             "tile-vs-pair", qi, j);
-            }
-            for (size_t j = nc; j < ldo; ++j) {
-              EXPECT_EQ(tile[qi * ldo + j], -1.0)
-                  << "tile wrote past row width at (" << qi << ", " << j
-                  << ")";
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchKernelTest, DistanceTileRangeMatchesIndexedTile) {
-  const traj::SegmentStore store = AdversarialStore(59, false);
-  const SegmentDistance dist;
-  const size_t n = store.size();
-  for (const BatchKernel kernel : CompiledKernels()) {
-    const size_t q_first = 2, q_last = n - 1, c_first = 1, c_last = n - 4;
-    const size_t mq = q_last - q_first, nc = c_last - c_first;
-    std::vector<double> got(mq * nc);
-    DistanceTileRange(store, dist, q_first, q_last, c_first, c_last,
-                      got.data(), nc, kernel);
-    for (size_t qi = 0; qi < mq; ++qi) {
-      for (size_t j = 0; j < nc; ++j) {
-        ExpectBitEqual(got[qi * nc + j],
-                       dist(store, q_first + qi, c_first + j), "tile-range",
-                       qi, j);
-      }
-    }
-  }
-}
-
-TEST(BatchKernelTest, EpsilonRefineTileMatchesPerQueryRefine) {
-  for (const bool three_d : {false, true}) {
-    const traj::SegmentStore store = AdversarialStore(67, three_d);
-    const size_t n = store.size();
-    for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
-      const SegmentDistance dist(cfg);
-      for (const double eps : {0.01, 2.0, 9.0}) {
-        for (const BatchKernel kernel : CompiledKernels()) {
-          for (const size_t block : {size_t{1}, size_t{3}, size_t{256}}) {
-            BatchOptions options;
-            options.kernel = kernel;
-            options.block = block;
-            std::vector<size_t> queries;
-            for (size_t q = 0; q < n; q += 2) queries.push_back(q);
-            std::vector<std::vector<size_t>> lists(queries.size());
-            EpsilonRefineTile(
-                store, dist,
-                common::Span<const size_t>(queries.data(), queries.size()), 0,
-                n, eps, lists.data(), options);
-            for (size_t k = 0; k < queries.size(); ++k) {
-              std::vector<size_t> expect;
-              EpsilonRefineRange(store, dist, queries[k], 0, n, eps, expect,
-                                 options);
-              EXPECT_EQ(lists[k], expect)
-                  << BatchKernelName(kernel) << " block " << block << " eps "
-                  << eps << " query " << queries[k];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchKernelTest, NearestWithinEpsMatchesReferenceArgmin) {
-  for (const bool three_d : {false, true}) {
-    const traj::SegmentStore store = AdversarialStore(71, three_d);
-    const size_t n = store.size();
-    // Candidate set with duplicates: ties must resolve to the EARLIEST
-    // position in the span, for every kernel.
-    std::vector<size_t> cands;
-    for (size_t j = 0; j < n; j += 2) cands.push_back(j);
-    for (size_t j = 0; j < n; j += 5) cands.push_back(j);
-    std::vector<size_t> queries;
-    for (size_t q = 0; q < n; ++q) queries.push_back(q);
-    for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
-      const SegmentDistance dist(cfg);
-      for (const double eps : {0.01, 2.0, 9.0, 1e300}) {
-        // Reference: scan candidates in span order, strict-< argmin.
-        std::vector<size_t> expect_pos(queries.size(), kNoNearest);
-        std::vector<double> expect_dist(
-            queries.size(), std::numeric_limits<double>::infinity());
-        for (size_t k = 0; k < queries.size(); ++k) {
-          for (size_t c = 0; c < cands.size(); ++c) {
-            const double d = dist(store, queries[k], cands[c]);
-            if (d <= eps && d < expect_dist[k]) {
-              expect_dist[k] = d;
-              expect_pos[k] = c;
-            }
-          }
-        }
-        for (const BatchKernel kernel : CompiledKernels()) {
-          for (const size_t block : {size_t{1}, size_t{7}, size_t{256}}) {
-            BatchOptions options;
-            options.kernel = kernel;
-            options.block = block;
-            std::vector<size_t> pos(queries.size());
-            std::vector<double> dmin(queries.size());
-            NearestWithinEps(
-                store, dist,
-                common::Span<const size_t>(queries.data(), queries.size()),
-                common::Span<const size_t>(cands.data(), cands.size()), eps,
-                common::Span<size_t>(pos.data(), pos.size()),
-                common::Span<double>(dmin.data(), dmin.size()), options);
-            for (size_t k = 0; k < queries.size(); ++k) {
-              EXPECT_EQ(pos[k], expect_pos[k])
-                  << BatchKernelName(kernel) << " block " << block << " eps "
-                  << eps << " query " << queries[k];
-              if (expect_pos[k] != kNoNearest) {
-                ExpectBitEqual(dmin[k], expect_dist[k], "nearest-dist", k,
-                               expect_pos[k]);
-              }
-            }
-          }
         }
       }
     }
