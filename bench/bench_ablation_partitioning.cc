@@ -21,11 +21,8 @@ using namespace traclus;
 
 void Report(const char* label, const traj::TrajectoryDatabase& db,
             const traj::SegmentStore& store) {
-  core::TraclusConfig cfg;
-  cfg.eps = 0.94;
-  cfg.min_lns = 7;
-  cfg.generate_representatives = false;
-  const auto clustering = bench::GroupOnly(cfg, store);
+  const auto clustering =
+      bench::GroupOnly(bench::DbscanEngine(0.94, 7), store);
   const auto stats = eval::SummarizeClustering(store.segments(), clustering);
   std::printf(
       "%-26s: %6zu partitions (%4.1f pts/partition) -> %2zu clusters, "
@@ -66,10 +63,13 @@ int main() {
   for (const auto enc : {partition::MdlEncoding::kLog2Clamped,
                          partition::MdlEncoding::kLog2Plus1}) {
     for (const double sup : {0.0, 2.0, 4.0}) {
-      core::TraclusConfig cfg;
-      cfg.partition.encoding = enc;
-      cfg.partition.suppression_bits = sup;
-      const auto segments = bench::PartitionOnly(cfg, db);
+      core::MdlPartitionOptions partition;
+      partition.mdl.encoding = enc;
+      partition.mdl.suppression_bits = sup;
+      const auto segments = bench::PartitionOnly(
+          bench::BuildOrDie(
+              core::TraclusEngine::Builder().UseMdlPartitioning(partition)),
+          db);
       char label[64];
       std::snprintf(label, sizeof(label), "MDL %s sup=%.0f",
                     enc == partition::MdlEncoding::kLog2Clamped ? "clamped"

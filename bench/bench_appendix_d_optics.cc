@@ -79,8 +79,9 @@ int main() {
   datagen::HurricaneConfig gen;
   gen.num_trajectories = 120;
   const auto db = datagen::GenerateHurricanes(gen);
-  core::TraclusConfig cfg;
-  const auto hsegs = bench::PartitionOnly(cfg, db);
+  const auto hsegs =
+      bench::PartitionOnly(bench::BuildOrDie(core::TraclusEngine::Builder()),
+                           db);
   const cluster::BruteForceNeighborhood provider(hsegs, dist);
   cluster::OpticsOptions oopt;
   oopt.eps = 1.5;

@@ -39,11 +39,10 @@ using namespace traclus;
 constexpr double kEps = 0.94;
 constexpr double kMinLns = 5.0;
 
-core::TraclusConfig HurricaneConfig() {
-  core::TraclusConfig cfg;
-  cfg.eps = kEps;
-  cfg.min_lns = kMinLns;
-  return cfg;
+const core::TraclusEngine& HurricaneEngine() {
+  static const auto* engine =
+      new core::TraclusEngine(bench::DbscanEngine(kEps, kMinLns));
+  return *engine;
 }
 
 const traj::TrajectoryDatabase& Hurricanes() {
@@ -52,12 +51,11 @@ const traj::TrajectoryDatabase& Hurricanes() {
   return *db;
 }
 
-// One engine per cache mode; the run context carries the directory.
+// One engine for every cache mode; the run context carries the directory.
 core::TraclusResult RunWithCacheDir(const std::string& dir) {
-  auto engine = bench::MakeEngine(HurricaneConfig());
   core::RunContext ctx;
   ctx.neighbor_cache_dir = dir;
-  auto result = engine.Run(Hurricanes(), ctx);
+  auto result = HurricaneEngine().Run(Hurricanes(), ctx);
   if (!result.ok()) {
     std::fprintf(stderr, "bench cached run failed: %s\n",
                  result.status().ToString().c_str());
@@ -78,7 +76,7 @@ std::string FreshDir(const std::string& name) {
 // Baseline: the full pipeline with no cache directory configured.
 void BM_GroupUncached(benchmark::State& state) {
   for (auto _ : state) {
-    auto result = bench::RunPipeline(HurricaneConfig(), Hurricanes());
+    auto result = bench::RunPipeline(HurricaneEngine(), Hurricanes());
     benchmark::DoNotOptimize(result.clustering.labels.data());
   }
 }
@@ -115,7 +113,7 @@ BENCHMARK(BM_GroupCacheWarm)->Unit(benchmark::kMillisecond);
 // The frozen snapshot, built once from the golden run.
 const core::ClusterSnapshot& Snapshot() {
   static const core::ClusterSnapshot* snapshot = [] {
-    auto result = bench::RunPipeline(HurricaneConfig(), Hurricanes());
+    auto result = bench::RunPipeline(HurricaneEngine(), Hurricanes());
     core::SnapshotParams params;
     params.eps = kEps;
     auto built = core::ClusterSnapshot::FromResult(result, params);

@@ -417,8 +417,8 @@ BENCHMARK(BM_PairwiseMatrixTiledSimd)->Arg(1)->Arg(4)
 
 struct SieveFixture {
   traj::SegmentStore store;
-  std::shared_ptr<const core::SieveGroupStage> stage;
-  cluster::ClusteringResult full;  // The k = 0 (no sieve) reference run.
+  core::DbscanGroupOptions group;  // The inner backend of every stride.
+  cluster::ClusteringResult full;  // The unsieved reference run.
 };
 
 const SieveFixture& SievePool() {
@@ -426,21 +426,15 @@ const SieveFixture& SievePool() {
     auto* f = new SieveFixture();
     const traj::TrajectoryDatabase db =
         datagen::GenerateHurricanes(datagen::HurricaneConfig{});
-    core::TraclusConfig cfg;
-    auto engine = core::TraclusEngine::FromConfig(cfg);
+    auto engine = core::TraclusEngine::Builder().Build();
     if (!engine.ok()) std::abort();
     auto partitioned = engine->Partition(db);
     if (!partitioned.ok()) std::abort();
     f->store = std::move(partitioned->store);
-    core::DbscanGroupOptions group;
-    group.eps = 0.94;
-    group.min_lns = 5.0;
-    core::SieveGroupOptions sieve;
-    sieve.eps = group.eps;
-    sieve.distance = group.distance;
-    f->stage = std::make_shared<core::SieveGroupStage>(
-        std::make_shared<core::DbscanGroupStage>(group), sieve);
-    auto full = f->stage->Run(f->store, core::RunContext{});
+    f->group.eps = 0.94;
+    f->group.min_lns = 5.0;
+    auto full =
+        core::DbscanGroupStage(f->group).Run(f->store, core::RunContext{});
     if (!full.ok()) std::abort();
     f->full = std::move(full).ValueOrDie();
     return f;
@@ -497,11 +491,16 @@ double SieveQuality(const SieveFixture& f,
 
 void BM_SieveGroupEndToEnd(benchmark::State& state) {
   const SieveFixture& f = SievePool();
-  core::RunContext ctx;
-  ctx.sieve = static_cast<size_t>(state.range(0));
+  // One stage per stride, built outside the timed loop.
+  core::SieveGroupOptions sieve;
+  sieve.k = static_cast<size_t>(state.range(0));
+  sieve.eps = f.group.eps;
+  sieve.distance = f.group.distance;
+  const core::SieveGroupStage stage(
+      std::make_shared<core::DbscanGroupStage>(f.group), sieve);
   cluster::ClusteringResult last;
   for (auto _ : state) {
-    auto result = f.stage->Run(f.store, ctx);
+    auto result = stage.Run(f.store, core::RunContext{});
     if (!result.ok()) {
       state.SkipWithError("sieve group run failed");
       return;
@@ -510,7 +509,7 @@ void BM_SieveGroupEndToEnd(benchmark::State& state) {
     benchmark::DoNotOptimize(last.labels.data());
   }
   state.counters["sieve_quality"] = benchmark::Counter(
-      ctx.sieve <= 1 ? 1.0 : SieveQuality(f, last, ctx.sieve));
+      sieve.k <= 1 ? 1.0 : SieveQuality(f, last, sieve.k));
   state.counters["clusters"] =
       benchmark::Counter(static_cast<double>(last.clusters.size()));
 }

@@ -23,8 +23,8 @@ int main() {
   const auto db = datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   bench::PrintDatabaseStats("hurricane", db);
 
-  core::TraclusConfig cfg;
-  const auto segments = bench::PartitionOnly(cfg, db);
+  const auto segments = bench::PartitionOnly(
+      bench::BuildOrDie(core::TraclusEngine::Builder()), db);
   std::printf("partitioning phase: %zu trajectory partitions\n\n",
               segments.size());
 

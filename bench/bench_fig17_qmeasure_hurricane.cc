@@ -26,8 +26,8 @@ int main() {
   const auto db = datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   bench::PrintDatabaseStats("hurricane", db);
 
-  core::TraclusConfig base;
-  const auto store = bench::PartitionOnly(base, db);
+  const auto store = bench::PartitionOnly(
+      bench::BuildOrDie(core::TraclusEngine::Builder()), db);
 
   // Estimate eps* as in E1, then sweep ±3 grid steps like the paper's 27..33.
   const distance::SegmentDistance dist;
@@ -54,11 +54,8 @@ int main() {
     double best_eps = 0.0;
     bool first = true;
     for (const double eps : eps_grid) {
-      core::TraclusConfig cfg;
-      cfg.eps = eps;
-      cfg.min_lns = min_lns;
-      cfg.generate_representatives = false;
-      const auto clustering = bench::GroupOnly(cfg, store);
+      const auto clustering =
+          bench::GroupOnly(bench::DbscanEngine(eps, min_lns), store);
       const auto q =
           eval::ComputeQMeasure(store.segments(), clustering, dist);
       std::printf("%-8.3f %-8.0f %-14.1f %-14.1f %-14.1f %zu\n", eps, min_lns,

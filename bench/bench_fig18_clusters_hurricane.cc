@@ -39,11 +39,11 @@ int main() {
 
   // Visual-inspection optimum for the synthetic set (selected, like the paper,
   // by trying values around the entropy estimate; see EXPERIMENTS.md).
-  core::TraclusConfig cfg;
-  cfg.eps = 0.94;
-  cfg.min_lns = 7;
-  const auto result = bench::RunPipeline(cfg, db);
-  bench::PrintClusteringSummary(cfg.eps, cfg.min_lns, result);
+  const double eps = 0.94;
+  const double min_lns = 7;
+  const auto result =
+      bench::RunPipeline(bench::DbscanEngine(eps, min_lns), db);
+  bench::PrintClusteringSummary(eps, min_lns, result);
 
   std::printf("\ncluster directions (paper: E->W, W->E and S->N groups):\n");
   for (size_t i = 0; i < result.representatives.size(); ++i) {

@@ -20,8 +20,8 @@ int main() {
   const auto db = datagen::GenerateAnimals(datagen::Elk1993Config());
   bench::PrintDatabaseStats("Elk1993", db);
 
-  core::TraclusConfig cfg;
-  const auto segments = bench::PartitionOnly(cfg, db);
+  const auto segments = bench::PartitionOnly(
+      bench::BuildOrDie(core::TraclusEngine::Builder()), db);
   std::printf("partitioning phase: %zu trajectory partitions\n\n",
               segments.size());
 

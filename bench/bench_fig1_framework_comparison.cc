@@ -32,10 +32,10 @@ int main() {
   bench::PrintDatabaseStats("fig1", db);
 
   // --- 1. TRACLUS. ---
-  core::TraclusConfig cfg;
-  cfg.eps = 10.0;
-  cfg.min_lns = 3;
-  const auto result = bench::RunPipeline(cfg, db);
+  const double eps = 10.0;
+  const double min_lns = 3;
+  const auto result =
+      bench::RunPipeline(bench::DbscanEngine(eps, min_lns), db);
   std::printf("\n[TRACLUS] %zu cluster(s)\n",
               result.clustering.clusters.size());
   for (size_t i = 0; i < result.representatives.size(); ++i) {

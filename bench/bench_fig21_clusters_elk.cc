@@ -24,11 +24,11 @@ int main() {
   bench::PrintDatabaseStats("Elk1993", db);
 
   // Visual-inspection optimum around the entropy estimate (EXPERIMENTS.md).
-  core::TraclusConfig cfg;
-  cfg.eps = 2.94;
-  cfg.min_lns = 10;
-  const auto result = bench::RunPipeline(cfg, db);
-  bench::PrintClusteringSummary(cfg.eps, cfg.min_lns, result);
+  const double eps = 2.94;
+  const double min_lns = 10;
+  const auto result =
+      bench::RunPipeline(bench::DbscanEngine(eps, min_lns), db);
+  bench::PrintClusteringSummary(eps, min_lns, result);
 
   // The divergent region check (paper: "the result having no cluster in that
   // region is verified to be correct").

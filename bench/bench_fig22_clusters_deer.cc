@@ -19,11 +19,12 @@ int main() {
   const auto db = datagen::GenerateAnimals(datagen::Deer1995Config());
   bench::PrintDatabaseStats("Deer1995", db);
 
-  core::TraclusConfig cfg;
-  cfg.eps = 1.8;  // Visual-inspection optimum near the entropy estimate (1.6).
-  cfg.min_lns = 8;
-  const auto result = bench::RunPipeline(cfg, db);
-  bench::PrintClusteringSummary(cfg.eps, cfg.min_lns, result);
+  // Visual-inspection optimum near the entropy estimate (1.6).
+  const double eps = 1.8;
+  const double min_lns = 8;
+  const auto result =
+      bench::RunPipeline(bench::DbscanEngine(eps, min_lns), db);
+  bench::PrintClusteringSummary(eps, min_lns, result);
 
   // The two planted corridors (ground truth of the synthetic substitution).
   const geom::Point corridor_a(115, 87);   // Midpoint of corridor 1.

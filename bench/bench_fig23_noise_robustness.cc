@@ -24,12 +24,12 @@ int main() {
     gen.num_planted_corridors = 4;
     const auto db = datagen::GenerateNoisy(gen);
 
-    core::TraclusConfig cfg;
-    cfg.eps = 3.0;
-    cfg.min_lns = 8;
-    const auto result = bench::RunPipeline(cfg, db);
+    const double eps = 3.0;
+    const double min_lns = 8;
+    const auto result =
+        bench::RunPipeline(bench::DbscanEngine(eps, min_lns), db);
     std::printf("noise fraction %.0f%%: ", 100 * noise_fraction);
-    bench::PrintClusteringSummary(cfg.eps, cfg.min_lns, result);
+    bench::PrintClusteringSummary(eps, min_lns, result);
     std::printf("    planted corridors: %d, recovered clusters: %zu %s\n",
                 gen.num_planted_corridors, result.clustering.clusters.size(),
                 result.clustering.clusters.size() ==

@@ -20,8 +20,7 @@ const traj::SegmentStore& AllSegments() {
   static const traj::SegmentStore store = [] {
     datagen::HurricaneConfig gen;
     gen.num_trajectories = 1200;  // Enough partitions for the largest slice.
-    const auto engine =
-        core::TraclusEngine::FromConfig(core::TraclusConfig{});
+    const auto engine = core::TraclusEngine::Builder().Build();
     return std::move(engine->Partition(datagen::GenerateHurricanes(gen))
                          ->store);
   }();
@@ -135,17 +134,15 @@ void BM_PartitionPhaseThreads(benchmark::State& state) {
   datagen::HurricaneConfig gen;
   gen.num_trajectories = 1200;
   const auto db = datagen::GenerateHurricanes(gen);
-  core::TraclusConfig cfg;
-  cfg.num_threads = static_cast<int>(state.range(0));
-  const core::TraclusEngine engine = *core::TraclusEngine::FromConfig(cfg);
+  const core::TraclusEngine engine = *core::TraclusEngine::Builder().Build();
+  core::RunContext ctx;
+  ctx.num_threads = static_cast<int>(state.range(0));
 
   {
-    core::TraclusConfig serial_cfg = cfg;
-    serial_cfg.num_threads = 1;
-    const core::TraclusEngine serial =
-        *core::TraclusEngine::FromConfig(serial_cfg);
-    const auto expect = serial.Partition(db);
-    const auto got = engine.Partition(db);
+    core::RunContext serial;
+    serial.num_threads = 1;
+    const auto expect = engine.Partition(db, serial);
+    const auto got = engine.Partition(db, ctx);
     if (!expect.ok() || !got.ok() ||
         expect->characteristic_points != got->characteristic_points) {
       state.SkipWithError("thread count changed the partitioning!");
@@ -154,9 +151,9 @@ void BM_PartitionPhaseThreads(benchmark::State& state) {
   }
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Partition(db));
+    benchmark::DoNotOptimize(engine.Partition(db, ctx));
   }
-  state.counters["threads"] = cfg.num_threads;
+  state.counters["threads"] = ctx.num_threads;
 }
 BENCHMARK(BM_PartitionPhaseThreads)
     ->Arg(1)->Arg(2)->Arg(4)

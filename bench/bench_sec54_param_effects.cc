@@ -26,9 +26,8 @@ int main() {
 
   const auto db = datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   bench::PrintDatabaseStats("hurricane", db);
-  core::TraclusConfig base;
-  base.generate_representatives = false;
-  const auto store = bench::PartitionOnly(base, db);
+  const auto store = bench::PartitionOnly(
+      bench::BuildOrDie(core::TraclusEngine::Builder()), db);
 
   // Our visual optimum is (0.94, 7); sweep eps at fixed MinLns and vice versa.
   const double opt_eps = 0.94;
@@ -40,11 +39,10 @@ int main() {
   size_t prev_clusters = 0;
   bool first = true;
   for (const double mult : {0.8, 1.0, 1.2}) {
-    core::TraclusConfig cfg = base;
-    cfg.eps = opt_eps * mult;
-    cfg.min_lns = opt_min_lns;
-    const auto clustering = bench::GroupOnly(cfg, store);
-    bench::PrintClusteringSummary(cfg.eps, cfg.min_lns, store.segments(),
+    const double eps = opt_eps * mult;
+    const auto clustering =
+        bench::GroupOnly(bench::DbscanEngine(eps, opt_min_lns), store);
+    bench::PrintClusteringSummary(eps, opt_min_lns, store.segments(),
                                   clustering);
     const auto st = eval::SummarizeClustering(store.segments(), clustering);
     if (!first && st.num_clusters > 0 && prev_clusters > 0) {
@@ -61,11 +59,9 @@ int main() {
   first = true;
   prev_clusters = 0;
   for (const double min_lns : {5.0, 7.0, 9.0}) {
-    core::TraclusConfig cfg = base;
-    cfg.eps = opt_eps;
-    cfg.min_lns = min_lns;
-    const auto clustering = bench::GroupOnly(cfg, store);
-    bench::PrintClusteringSummary(cfg.eps, cfg.min_lns, store.segments(),
+    const auto clustering =
+        bench::GroupOnly(bench::DbscanEngine(opt_eps, min_lns), store);
+    bench::PrintClusteringSummary(opt_eps, min_lns, store.segments(),
                                   clustering);
     prev_clusters =
         eval::SummarizeClustering(store.segments(), clustering).num_clusters;

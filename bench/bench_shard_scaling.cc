@@ -58,7 +58,7 @@ const traj::SegmentStore& HurricaneStore() {
   static const traj::SegmentStore* store = [] {
     const traj::TrajectoryDatabase db =
         datagen::GenerateHurricanes(datagen::HurricaneConfig{});
-    auto engine = core::TraclusEngine::FromConfig(core::TraclusConfig{});
+    auto engine = core::TraclusEngine::Builder().Build();
     if (!engine.ok()) {
       std::fprintf(stderr, "bench_shard_scaling: %s\n",
                    engine.status().ToString().c_str());
@@ -126,12 +126,13 @@ void RunShardedGrouping(benchmark::State& state,
   sharded.eps = group.eps;
   sharded.min_lns = group.min_lns;
   sharded.distance = group.distance;
+  sharded.shards = shards;
   sharded.stats = &stats;
+  // One stage per shard count, built outside the timed loop.
   const core::ShardedGroupStage stage(
       std::make_shared<core::DbscanGroupStage>(group), sharded);
 
   core::RunContext ctx;
-  ctx.shards = shards;
   ctx.num_threads = 0;  // Hardware concurrency: shards run in parallel.
 
   size_t clusters = 0;

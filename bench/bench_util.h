@@ -20,11 +20,12 @@
 
 namespace traclus::bench {
 
-/// Builds a TraclusEngine from a legacy-shaped config, dying loudly on
-/// misconfiguration — benches hardcode their configs, so a rejection is a
-/// bench bug, not a runtime condition to handle.
-inline core::TraclusEngine MakeEngine(const core::TraclusConfig& config) {
-  auto engine = core::TraclusEngine::FromConfig(config);
+/// Builds the assembled engine, dying loudly on misconfiguration — benches
+/// hardcode their configs, so a rejection is a bench bug, not a runtime
+/// condition to handle.
+inline core::TraclusEngine BuildOrDie(
+    const core::TraclusEngine::Builder& builder) {
+  auto engine = builder.Build();
   if (!engine.ok()) {
     std::fprintf(stderr, "bench engine config rejected: %s\n",
                  engine.status().ToString().c_str());
@@ -33,10 +34,24 @@ inline core::TraclusEngine MakeEngine(const core::TraclusConfig& config) {
   return std::move(engine).ValueOrDie();
 }
 
+/// The paper's default assembly at (ε, MinLns): approximate MDL
+/// partitioning, grid-indexed DBSCAN, and the sweep at the same MinLns (the
+/// paper's choice for the representative threshold).
+inline core::TraclusEngine DbscanEngine(double eps, double min_lns) {
+  core::DbscanGroupOptions group;
+  group.eps = eps;
+  group.min_lns = min_lns;
+  core::SweepRepresentativeOptions reps;
+  reps.min_lns = min_lns;
+  return BuildOrDie(core::TraclusEngine::Builder()
+                        .UseDbscanGrouping(group)
+                        .UseSweepRepresentatives(reps));
+}
+
 /// Full pipeline run (Fig. 4) on the engine API.
-inline core::TraclusResult RunPipeline(const core::TraclusConfig& config,
+inline core::TraclusResult RunPipeline(const core::TraclusEngine& engine,
                                        const traj::TrajectoryDatabase& db) {
-  auto result = MakeEngine(config).Run(db);
+  auto result = engine.Run(db);
   if (!result.ok()) {
     std::fprintf(stderr, "bench pipeline run failed: %s\n",
                  result.status().ToString().c_str());
@@ -47,9 +62,9 @@ inline core::TraclusResult RunPipeline(const core::TraclusConfig& config,
 
 /// Partitioning stage only (Fig. 4 lines 01-03): returns the frozen segment
 /// store, the currency the later stages consume.
-inline traj::SegmentStore PartitionOnly(const core::TraclusConfig& config,
+inline traj::SegmentStore PartitionOnly(const core::TraclusEngine& engine,
                                         const traj::TrajectoryDatabase& db) {
-  auto partitioned = MakeEngine(config).Partition(db);
+  auto partitioned = engine.Partition(db);
   if (!partitioned.ok()) {
     std::fprintf(stderr, "bench partition stage failed: %s\n",
                  partitioned.status().ToString().c_str());
@@ -59,9 +74,9 @@ inline traj::SegmentStore PartitionOnly(const core::TraclusConfig& config,
 }
 
 /// Grouping stage only (Fig. 4 line 04) on a prebuilt segment store.
-inline cluster::ClusteringResult GroupOnly(const core::TraclusConfig& config,
+inline cluster::ClusteringResult GroupOnly(const core::TraclusEngine& engine,
                                            const traj::SegmentStore& store) {
-  auto grouped = MakeEngine(config).Group(store);
+  auto grouped = engine.Group(store);
   if (!grouped.ok()) {
     std::fprintf(stderr, "bench group stage failed: %s\n",
                  grouped.status().ToString().c_str());

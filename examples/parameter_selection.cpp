@@ -23,8 +23,7 @@ int main() {
 
   // Partition first: the heuristic operates on trajectory partitions. A bare
   // default engine is valid; Partition alone runs just stage 1.
-  const auto base =
-      traclus::core::TraclusEngine::FromConfig(traclus::core::TraclusConfig{});
+  const auto base = traclus::core::TraclusEngine::Builder().Build();
   const auto partitioned = base->Partition(db);
   if (!partitioned.ok()) {
     std::fprintf(stderr, "%s\n", partitioned.status().ToString().c_str());
@@ -51,10 +50,15 @@ int main() {
   // resulting cluster counts so the analyst can pick.
   for (double min_lns = est.min_lns_low; min_lns <= est.min_lns_high;
        min_lns += 1.0) {
-    traclus::core::TraclusConfig cfg;
-    cfg.eps = est.eps;
-    cfg.min_lns = min_lns;
-    const auto engine = traclus::core::TraclusEngine::FromConfig(cfg);
+    traclus::core::DbscanGroupOptions group;
+    group.eps = est.eps;
+    group.min_lns = min_lns;
+    traclus::core::SweepRepresentativeOptions reps;
+    reps.min_lns = min_lns;  // The paper's choice: the clustering MinLns.
+    const auto engine = traclus::core::TraclusEngine::Builder()
+                            .UseDbscanGrouping(group)
+                            .UseSweepRepresentatives(reps)
+                            .Build();
     if (!engine.ok()) {
       std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
       return 1;
@@ -66,7 +70,7 @@ int main() {
     }
     std::printf("eps = %.3f, MinLns = %2.0f  ->  %zu clusters, %zu noise "
                 "segments\n",
-                cfg.eps, min_lns, result->clustering.clusters.size(),
+                group.eps, min_lns, result->clustering.clusters.size(),
                 result->clustering.num_noise);
   }
   std::printf("\n(ground truth: the generator planted %d corridors)\n",

@@ -1,15 +1,13 @@
 #include "cluster/neighbor_cache_file.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/logging.h"
 #include "distance/hashing.h"
 
@@ -50,14 +48,6 @@ bool ReadRaw(std::ifstream& in, T* v) {
 common::Status Corrupt(const std::string& path, const std::string& what) {
   return common::Status::InvalidArgument("corrupt neighbor cache file " +
                                          path + ": " + what);
-}
-
-// A temp name no other writer uses: the process id separates concurrent
-// runs, the counter separates writers inside one process.
-std::string UniqueTempPath(const std::string& path) {
-  static std::atomic<uint64_t> next{0};
-  return path + ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(next.fetch_add(1));
 }
 
 // Scans the payload once and rejects any index ≥ n: serving one would send
@@ -187,67 +177,52 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
                                       const NeighborhoodProvider& base,
                                       double eps, common::ThreadPool& pool) {
   const uint64_t n = base.size();
-  const std::string tmp = UniqueTempPath(path);
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return common::Status::IOError("cannot open " + tmp + " for writing");
-  }
-
-  // Placeholder header + offsets first; the payload streams behind them in
-  // bounded slices, then one seek rewrites the real values. This keeps peak
-  // memory at O(slice) instead of materializing all n lists.
-  WriteRaw(out, kMagic);
-  WriteRaw(out, kNeighborCacheFileVersion);
-  WriteRaw(out, key);
-  WriteRaw(out, n);
-  WriteRaw(out, DoubleBits(eps));
-  uint64_t total = 0;
-  WriteRaw(out, total);
-  std::vector<uint64_t> offsets(n + 1, 0);
-  out.write(reinterpret_cast<const char*>(offsets.data()),
+  return common::WriteFileAtomically(
+      path, "neighbor cache file", [&](std::ofstream& out) {
+        // Placeholder header + offsets first; the payload streams behind
+        // them in bounded slices, then one seek rewrites the real values.
+        // This keeps peak memory at O(slice) instead of materializing all n
+        // lists.
+        WriteRaw(out, kMagic);
+        WriteRaw(out, kNeighborCacheFileVersion);
+        WriteRaw(out, key);
+        WriteRaw(out, n);
+        WriteRaw(out, DoubleBits(eps));
+        uint64_t total = 0;
+        WriteRaw(out, total);
+        std::vector<uint64_t> offsets(n + 1, 0);
+        out.write(
+            reinterpret_cast<const char*>(offsets.data()),
             static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
 
-  std::vector<size_t> queries;
-  std::vector<uint64_t> flat;
-  for (uint64_t base_i = 0; base_i < n; base_i += kWriteBatch) {
-    const uint64_t hi = std::min<uint64_t>(n, base_i + kWriteBatch);
-    queries.clear();
-    for (uint64_t i = base_i; i < hi; ++i) queries.push_back(i);
-    const auto lists = base.NeighborsBatch(queries, eps, pool);
-    flat.clear();
-    for (uint64_t i = base_i; i < hi; ++i) {
-      const auto& list = lists[i - base_i];
-      offsets[i] = total;
-      total += list.size();
-      for (const size_t v : list) flat.push_back(v);
-    }
-    out.write(reinterpret_cast<const char*>(flat.data()),
+        std::vector<size_t> queries;
+        std::vector<uint64_t> flat;
+        for (uint64_t base_i = 0; base_i < n; base_i += kWriteBatch) {
+          const uint64_t hi = std::min<uint64_t>(n, base_i + kWriteBatch);
+          queries.clear();
+          for (uint64_t i = base_i; i < hi; ++i) queries.push_back(i);
+          const auto lists = base.NeighborsBatch(queries, eps, pool);
+          flat.clear();
+          for (uint64_t i = base_i; i < hi; ++i) {
+            const auto& list = lists[i - base_i];
+            offsets[i] = total;
+            total += list.size();
+            for (const size_t v : list) flat.push_back(v);
+          }
+          out.write(
+              reinterpret_cast<const char*>(flat.data()),
               static_cast<std::streamsize>(flat.size() * sizeof(uint64_t)));
-  }
-  offsets[n] = total;
-  WriteRaw(out, kMagic);
+        }
+        offsets[n] = total;
+        WriteRaw(out, kMagic);
 
-  out.seekp(static_cast<std::streamoff>(kHeaderBytes - sizeof(uint64_t)));
-  WriteRaw(out, total);
-  out.write(reinterpret_cast<const char*>(offsets.data()),
+        out.seekp(
+            static_cast<std::streamoff>(kHeaderBytes - sizeof(uint64_t)));
+        WriteRaw(out, total);
+        out.write(
+            reinterpret_cast<const char*>(offsets.data()),
             static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
-  out.close();
-  if (!out.good()) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return common::Status::IOError("failed writing neighbor cache file " +
-                                   tmp);
-  }
-
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code remove_ec;
-    std::filesystem::remove(tmp, remove_ec);
-    return common::Status::IOError("cannot move " + tmp + " into place: " +
-                                   ec.message());
-  }
-  return common::Status::OK();
+      });
 }
 
 common::Result<std::unique_ptr<FileNeighborhoodCache>>

@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -119,10 +118,28 @@ common::Status ValidateClusteringAgainstSize(
   return common::Status::OK();
 }
 
-common::Status ValidateClusteringAgainst(
-    const cluster::ClusteringResult& clustering,
-    const traj::SegmentStore& store) {
-  return ValidateClusteringAgainstSize(clustering, store.size());
+// The DBSCAN walk's options for one run of a DbscanGroupStage: the stage's
+// options plus the run's threads, cancellation, and progress sink.
+cluster::DbscanOptions DbscanRunOptions(const DbscanGroupOptions& options,
+                                        const char* stage,
+                                        const RunContext& ctx) {
+  cluster::DbscanOptions o;
+  o.eps = options.eps;
+  o.min_lns = options.min_lns;
+  // A shard-local run (ShardedGroupStage) sees only one shard's fragment of
+  // each cross-border cluster, so the whole-database cardinality filter must
+  // wait for the halo merge — the sharded driver applies it once, globally.
+  o.min_trajectory_cardinality =
+      ctx.shard_local ? 0.0 : options.min_trajectory_cardinality;
+  o.use_weights = options.use_weights;
+  o.num_threads = ctx.num_threads;
+  o.batch_block = options.batch_block;
+  o.cancellation = ctx.cancellation;
+  if (ctx.progress) {
+    const ProgressFn& sink = ctx.progress;
+    o.progress = [&sink, stage](double fraction) { sink(stage, fraction); };
+  }
+  return o;
 }
 
 // The always-resident catalog columns of a chunked store, viewed the way
@@ -239,23 +256,7 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::Run(
       const ProviderBundle bundle,
       MakeRunProvider(store, dist, options_.use_index, options_.eps, ctx));
 
-  cluster::DbscanOptions o;
-  o.eps = options_.eps;
-  o.min_lns = options_.min_lns;
-  // A shard-local run (ShardedGroupStage) sees only one shard's fragment of
-  // each cross-border cluster, so the whole-database cardinality filter must
-  // wait for the halo merge — the sharded driver applies it once, globally.
-  o.min_trajectory_cardinality =
-      ctx.shard_local ? 0.0 : options_.min_trajectory_cardinality;
-  o.use_weights = options_.use_weights;
-  o.num_threads = ctx.num_threads;
-  o.batch_block = options_.batch_block;
-  o.cancellation = ctx.cancellation;
-  if (ctx.progress) {
-    const ProgressFn& sink = ctx.progress;
-    const char* stage = name();
-    o.progress = [&sink, stage](double fraction) { sink(stage, fraction); };
-  }
+  const cluster::DbscanOptions o = DbscanRunOptions(options_, name(), ctx);
   try {
     // Fig. 4 line 04.
     return cluster::DbscanSegments(store, bundle.provider(), o);
@@ -276,23 +277,7 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
         store, dist, ctx.distance_kernel);
   }
 
-  cluster::DbscanOptions o;
-  o.eps = options_.eps;
-  o.min_lns = options_.min_lns;
-  // A shard-local run (ShardedGroupStage) sees only one shard's fragment of
-  // each cross-border cluster, so the whole-database cardinality filter must
-  // wait for the halo merge — the sharded driver applies it once, globally.
-  o.min_trajectory_cardinality =
-      ctx.shard_local ? 0.0 : options_.min_trajectory_cardinality;
-  o.use_weights = options_.use_weights;
-  o.num_threads = ctx.num_threads;
-  o.batch_block = options_.batch_block;
-  o.cancellation = ctx.cancellation;
-  if (ctx.progress) {
-    const ProgressFn& sink = ctx.progress;
-    const char* stage = name();
-    o.progress = [&sink, stage](double fraction) { sink(stage, fraction); };
-  }
+  const cluster::DbscanOptions o = DbscanRunOptions(options_, name(), ctx);
   try {
     // The same Fig. 12 walk as Run: expansion reads the catalog view, the
     // ε-queries fault payload chunks under the store's residency cap.
@@ -383,7 +368,8 @@ common::Status SweepRepresentativeStage::Validate() const {
 common::Result<std::vector<traj::Trajectory>> SweepRepresentativeStage::Run(
     const traj::SegmentStore& store,
     const cluster::ClusteringResult& clustering, const RunContext& ctx) const {
-  TRACLUS_RETURN_NOT_OK(ValidateClusteringAgainst(clustering, store));
+  TRACLUS_RETURN_NOT_OK(
+      ValidateClusteringAgainstSize(clustering, store.size()));
 
   cluster::RepresentativeOptions o;
   o.min_lns = options_.min_lns;
@@ -526,12 +512,6 @@ TraclusEngine::Builder& TraclusEngine::Builder::WithSieveGrouping(
       std::make_shared<SieveGroupStage>(std::move(group_), options));
 }
 
-TraclusEngine::Builder& TraclusEngine::Builder::WithSieveGrouping(
-    AutoK auto_k, SieveGroupOptions options) {
-  options.auto_k = auto_k;
-  return WithSieveGrouping(options);
-}
-
 TraclusEngine::Builder& TraclusEngine::Builder::WithShardedGrouping(
     const ShardedGroupOptions& options) {
   // Same wrap-whatever-is-configured contract as WithSieveGrouping; a null
@@ -542,18 +522,6 @@ TraclusEngine::Builder& TraclusEngine::Builder::WithShardedGrouping(
 
 TraclusEngine::Builder& TraclusEngine::Builder::WithoutRepresentatives() {
   representative_.reset();
-  return *this;
-}
-
-TraclusEngine::Builder& TraclusEngine::Builder::SetDefaultNumThreads(
-    int num_threads) {
-  default_num_threads_ = num_threads;
-  return *this;
-}
-
-TraclusEngine::Builder& TraclusEngine::Builder::WithNeighborCache(
-    std::string directory) {
-  default_neighbor_cache_dir_ = std::move(directory);
   return *this;
 }
 
@@ -572,74 +540,16 @@ common::Result<TraclusEngine> TraclusEngine::Builder::Build() const {
   if (representative_ != nullptr) {
     TRACLUS_RETURN_NOT_OK(representative_->Validate());
   }
-  return TraclusEngine(partition_, group_, representative_,
-                       default_num_threads_, default_neighbor_cache_dir_);
+  return TraclusEngine(partition_, group_, representative_);
 }
 
 // ---------------------------------------------------------------------------
 // TraclusEngine
 // ---------------------------------------------------------------------------
 
-common::Result<TraclusEngine> TraclusEngine::FromConfig(
-    const TraclusConfig& config) {
-  Builder builder;
-
-  MdlPartitionOptions partition;
-  partition.mdl = config.partition;
-  partition.variant =
-      config.partitioning_algorithm == PartitioningAlgorithm::kOptimalMdl
-          ? MdlVariant::kOptimal
-          : MdlVariant::kApproximate;
-  builder.UseMdlPartitioning(partition);
-
-  DbscanGroupOptions group;
-  group.eps = config.eps;
-  group.min_lns = config.min_lns;
-  group.min_trajectory_cardinality = config.min_trajectory_cardinality;
-  group.use_weights = config.use_weights;
-  group.use_index = config.use_index;
-  group.distance = config.distance;
-  builder.UseDbscanGrouping(group);
-
-  if (config.generate_representatives) {
-    builder.UseSweepRepresentatives(RepresentativeOptionsFromConfig(config));
-  } else {
-    builder.WithoutRepresentatives();
-  }
-
-  builder.SetDefaultNumThreads(config.num_threads);
-  return builder.Build();
-}
-
-SweepRepresentativeOptions RepresentativeOptionsFromConfig(
-    const TraclusConfig& config) {
-  SweepRepresentativeOptions options;
-  options.min_lns = config.representative_min_lns < 0.0
-                        ? config.min_lns
-                        : config.representative_min_lns;
-  options.gamma = std::max(config.gamma, 0.0);
-  options.method = config.representative_method;
-  options.use_weights = config.use_weights;
-  return options;
-}
-
-RunContext TraclusEngine::ResolveContext(const RunContext& ctx) const {
-  RunContext resolved = ctx;
-  if (resolved.num_threads == 0) {
-    resolved.num_threads = default_num_threads_;
-  }
-  // < 0 = "hardware concurrency regardless of the engine default", which is
-  // what the pool layer's 0 means.
-  if (resolved.num_threads < 0) resolved.num_threads = 0;
-  if (resolved.neighbor_cache_dir.empty()) {
-    resolved.neighbor_cache_dir = default_neighbor_cache_dir_;
-  }
-  return resolved;
-}
-
-common::Result<PartitionOutput> TraclusEngine::PartitionImpl(
-    const traj::TrajectoryDatabase& db, const RunContext& rctx) const {
-  if (rctx.cancellation != nullptr && rctx.cancellation->cancelled()) {
+common::Result<PartitionOutput> TraclusEngine::Partition(
+    const traj::TrajectoryDatabase& db, const RunContext& ctx) const {
+  if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
     return common::Status::Cancelled("run cancelled before the partition "
                                      "stage");
   }
@@ -648,83 +558,62 @@ common::Result<PartitionOutput> TraclusEngine::PartitionImpl(
         "trajectory database is empty (partitioning needs at least one "
         "trajectory)");
   }
-  return partition_->Run(db, rctx);
-}
-
-common::Result<cluster::ClusteringResult> TraclusEngine::GroupImpl(
-    const traj::SegmentStore& store, const RunContext& rctx) const {
-  if (rctx.cancellation != nullptr && rctx.cancellation->cancelled()) {
-    return common::Status::Cancelled("run cancelled before the group stage");
-  }
-  return group_->Run(store, rctx);
-}
-
-common::Result<std::vector<traj::Trajectory>>
-TraclusEngine::RepresentativesImpl(const traj::SegmentStore& store,
-                                   const cluster::ClusteringResult& clustering,
-                                   const RunContext& rctx) const {
-  if (representative_ == nullptr) {
-    return common::Status::FailedPrecondition(
-        "engine was built without a representative stage "
-        "(WithoutRepresentatives)");
-  }
-  if (rctx.cancellation != nullptr && rctx.cancellation->cancelled()) {
-    return common::Status::Cancelled(
-        "run cancelled before the representative stage");
-  }
-  return representative_->Run(store, clustering, rctx);
-}
-
-common::Result<PartitionOutput> TraclusEngine::Partition(
-    const traj::TrajectoryDatabase& db, const RunContext& ctx) const {
-  return PartitionImpl(db, ResolveContext(ctx));
+  return partition_->Run(db, ctx);
 }
 
 common::Result<cluster::ClusteringResult> TraclusEngine::Group(
     const traj::SegmentStore& store, const RunContext& ctx) const {
-  return GroupImpl(store, ResolveContext(ctx));
+  if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
+    return common::Status::Cancelled("run cancelled before the group stage");
+  }
+  return group_->Run(store, ctx);
 }
 
 common::Result<std::vector<traj::Trajectory>> TraclusEngine::Representatives(
     const traj::SegmentStore& store,
     const cluster::ClusteringResult& clustering, const RunContext& ctx) const {
-  return RepresentativesImpl(store, clustering, ResolveContext(ctx));
+  if (representative_ == nullptr) {
+    return common::Status::FailedPrecondition(
+        "engine was built without a representative stage "
+        "(WithoutRepresentatives)");
+  }
+  if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
+    return common::Status::Cancelled(
+        "run cancelled before the representative stage");
+  }
+  return representative_->Run(store, clustering, ctx);
+}
+
+common::Status TraclusEngine::GroupAndRepresent(TraclusResult* out,
+                                                const RunContext& ctx) const {
+  TRACLUS_ASSIGN_OR_RETURN(out->clustering, Group(out->store, ctx));
+  if (representative_ != nullptr) {
+    TRACLUS_ASSIGN_OR_RETURN(out->representatives,
+                             Representatives(out->store, out->clustering, ctx));
+  }
+  return common::Status::OK();
 }
 
 common::Result<TraclusResult> TraclusEngine::Run(
     const traj::TrajectoryDatabase& db, const RunContext& ctx) const {
-  const RunContext rctx = ResolveContext(ctx);
   TraclusResult out;
-  {
-    auto partitioned = PartitionImpl(db, rctx);
-    if (!partitioned.ok()) return partitioned.status();
-    out.store = std::move(partitioned->store);
-    out.characteristic_points = std::move(partitioned->characteristic_points);
-  }
-  {
-    auto grouped = GroupImpl(out.store, rctx);
-    if (!grouped.ok()) return grouped.status();
-    out.clustering = std::move(grouped).ValueOrDie();
-  }
-  if (representative_ != nullptr) {
-    auto reps = RepresentativesImpl(out.store, out.clustering, rctx);
-    if (!reps.ok()) return reps.status();
-    out.representatives = std::move(reps).ValueOrDie();
-  }
+  TRACLUS_ASSIGN_OR_RETURN(PartitionOutput partitioned, Partition(db, ctx));
+  out.store = std::move(partitioned.store);
+  out.characteristic_points = std::move(partitioned.characteristic_points);
+  TRACLUS_RETURN_NOT_OK(GroupAndRepresent(&out, ctx));
   return out;
 }
 
 common::Result<TraclusResult> TraclusEngine::Run(
     traj::TrajectorySource& source, const RunContext& ctx) const {
-  const RunContext rctx = ResolveContext(ctx);
-  if (rctx.cancellation != nullptr && rctx.cancellation->cancelled()) {
+  if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
     return common::Status::Cancelled("run cancelled before the partition "
                                      "stage");
   }
 
   traj::ChunkedStoreOptions store_options;
-  store_options.chunk_capacity = rctx.chunk_capacity;
-  store_options.max_resident_chunks = rctx.max_resident_chunks;
+  store_options.chunk_capacity = ctx.chunk_capacity;
+  store_options.max_resident_chunks = ctx.max_resident_chunks;
   auto chunked = std::make_shared<traj::ChunkedSegmentStore>(store_options);
 
   // Ingest: pull trajectories in small blocks, partition each block on
@@ -733,13 +622,13 @@ common::Result<TraclusResult> TraclusEngine::Run(
   // is never materialized. The per-block partition runs with progress muted
   // (a source has no known length, so block fractions would be meaningless);
   // the outer stage start/end reports bracket the whole ingest instead.
-  RunContext block_ctx = rctx;
+  RunContext block_ctx = ctx;
   block_ctx.progress = nullptr;
   constexpr size_t kIngestBlock = 256;
 
   TraclusResult out;
   out.chunked_store = chunked;
-  Report(rctx, partition_->name(), 0.0);
+  Report(ctx, partition_->name(), 0.0);
 
   // Trajectories pulled so far == the position the eager TrajectoryDatabase
   // would have stored the next one at; negative ids are assigned from it,
@@ -784,46 +673,32 @@ common::Result<TraclusResult> TraclusEngine::Run(
         "trajectory)");
   }
   TRACLUS_RETURN_NOT_OK(chunked->Finalize());
-  Report(rctx, partition_->name(), 1.0);
+  Report(ctx, partition_->name(), 1.0);
 
-  if (rctx.max_resident_chunks == 0) {
+  if (ctx.max_resident_chunks == 0) {
     // Unbounded residency: merge the chunks back into the monolithic store
     // (bit-identical to the eager freeze of the same segments) and run the
     // existing grouping/representative stages on it.
-    TRACLUS_ASSIGN_OR_RETURN(traj::SegmentStore merged, chunked->Merge());
-    out.store = std::move(merged);
-    {
-      auto grouped = GroupImpl(out.store, rctx);
-      if (!grouped.ok()) return grouped.status();
-      out.clustering = std::move(grouped).ValueOrDie();
-    }
-    if (representative_ != nullptr) {
-      auto reps = RepresentativesImpl(out.store, out.clustering, rctx);
-      if (!reps.ok()) return reps.status();
-      out.representatives = std::move(reps).ValueOrDie();
-    }
+    TRACLUS_ASSIGN_OR_RETURN(out.store, chunked->Merge());
+    TRACLUS_RETURN_NOT_OK(GroupAndRepresent(&out, ctx));
     return out;
   }
 
   // Bounded residency: the out-of-core path. out.store stays empty —
   // materializing it would defeat the cap — and the stages run their
   // chunked entry points against the store's bounded reader cache.
-  if (rctx.cancellation != nullptr && rctx.cancellation->cancelled()) {
+  if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
     return common::Status::Cancelled("run cancelled before the group stage");
   }
-  {
-    auto grouped = group_->RunChunked(*chunked, rctx);
-    if (!grouped.ok()) return grouped.status();
-    out.clustering = std::move(grouped).ValueOrDie();
-  }
+  TRACLUS_ASSIGN_OR_RETURN(out.clustering, group_->RunChunked(*chunked, ctx));
   if (representative_ != nullptr) {
-    if (rctx.cancellation != nullptr && rctx.cancellation->cancelled()) {
+    if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
       return common::Status::Cancelled(
           "run cancelled before the representative stage");
     }
-    auto reps = representative_->RunChunked(*chunked, out.clustering, rctx);
-    if (!reps.ok()) return reps.status();
-    out.representatives = std::move(reps).ValueOrDie();
+    TRACLUS_ASSIGN_OR_RETURN(
+        out.representatives,
+        representative_->RunChunked(*chunked, out.clustering, ctx));
   }
   return out;
 }

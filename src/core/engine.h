@@ -11,8 +11,9 @@
 // returns common::Result<T> — invalid configuration, empty input, ε/MinLns
 // domain errors, and cancellations come back as typed Status codes instead of
 // silent defaults or asserts. Execution parameters (threads, progress,
-// cancellation) travel per run in a RunContext, so one engine can serve many
-// concurrent runs.
+// cancellation, kernel, cache and chunk knobs) travel per run in a RunContext,
+// so one engine can serve many concurrent runs; everything that configures a
+// stage lives in that stage's options.
 //
 //   auto engine = core::TraclusEngine::Builder()
 //                     .UseMdlPartitioning()
@@ -27,7 +28,6 @@
 // output bit-for-bit across refactors instead.
 
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,57 +46,6 @@
 #include "traj/trajectory_database.h"
 
 namespace traclus::core {
-
-/// Which partitioning algorithm drives the partitioning phase (legacy
-/// configuration; engine users pick MdlVariant directly).
-enum class PartitioningAlgorithm {
-  kApproximateMdl,  ///< Fig. 8, O(n) — the paper's algorithm and the default.
-  kOptimalMdl,      ///< Exact DP optimum, O(n²) edges; experiments only.
-};
-
-/// Full configuration of the TRACLUS pipeline (Fig. 4) as one flat struct —
-/// the legacy shape, still accepted by TraclusEngine::FromConfig. New code
-/// should prefer the builder, which validates eagerly and admits custom
-/// stages.
-struct TraclusConfig {
-  /// --- Partitioning phase (§3) ---
-  partition::MdlOptions partition;
-  PartitioningAlgorithm partitioning_algorithm =
-      PartitioningAlgorithm::kApproximateMdl;
-
-  /// --- Distance function (§2.3) ---
-  distance::SegmentDistanceConfig distance;
-
-  /// --- Grouping phase (§4) ---
-  double eps = 25.0;       ///< Neighborhood radius ε.
-  double min_lns = 5.0;    ///< MinLns.
-  /// Trajectory-cardinality threshold (negative: use min_lns; 0: disabled).
-  double min_trajectory_cardinality = -1.0;
-  /// Weighted-trajectory extension (§4.2 / §7.1).
-  bool use_weights = false;
-  /// Use the grid spatial index for ε-neighborhood queries (Lemma 3); when
-  /// false, brute-force scans are used (the O(n²) configuration).
-  bool use_index = true;
-
-  /// --- Representative trajectories (§4.3) ---
-  bool generate_representatives = true;
-  /// Sweep hit threshold; negative means "use min_lns" (the paper's choice).
-  double representative_min_lns = -1.0;
-  /// Smoothing parameter γ (Fig. 15): minimum sweep gap between emitted
-  /// representative points. 0 disables smoothing.
-  double gamma = 0.0;
-  cluster::RepresentativeMethod representative_method =
-      cluster::RepresentativeMethod::kProjection;
-
-  /// --- Execution (not part of the paper's algorithm) ---
-  /// Worker threads for the parallel phases: per-trajectory MDL partitioning,
-  /// the blocked ε-neighborhood queries of the grouping phase, and per-cluster
-  /// representative generation. 0 = hardware concurrency; 1 = run everything
-  /// inline on the calling thread, reproducing the original single-threaded
-  /// execution exactly. Results are identical for every value — parallel work
-  /// is assembled in deterministic index order, never in completion order.
-  int num_threads = 0;
-};
 
 /// Everything TRACLUS produces, including intermediate artifacts that the
 /// paper's experiments measure.
@@ -165,38 +114,24 @@ class TraclusEngine {
     Builder& UseSweepRepresentatives(
         const SweepRepresentativeOptions& options = {});
     /// Wraps the currently configured group stage in a SieveGroupStage
-    /// (core/sieve_stage.h): runs whose RunContext sets `sieve` ≥ 2 group
-    /// only that fraction of trajectories through the wrapped backend and
-    /// batch-assign the rest to the nearest cluster within `options.eps`.
-    /// Call after the grouping backend is chosen (Use*Grouping /
-    /// SetGroupStage); calling it with no group stage configured is a Build()
-    /// validation failure.
+    /// (core/sieve_stage.h): with `options.k` ≥ 2, runs group only every
+    /// k-th trajectory through the wrapped backend and batch-assign the rest
+    /// to the nearest cluster within `options.eps`. Call after the grouping
+    /// backend is chosen (Use*Grouping / SetGroupStage); calling it with no
+    /// group stage configured is a Build() validation failure.
     Builder& WithSieveGrouping(const SieveGroupOptions& options);
-    /// AutoK convenience overload: stamps `auto_k` into the options and
-    /// wraps as above, so runs that leave RunContext::sieve at 0 derive the
-    /// stride from the store size (k = ceil(size / target_sample)).
-    Builder& WithSieveGrouping(AutoK auto_k, SieveGroupOptions options = {});
     /// Wraps the currently configured group stage in a ShardedGroupStage
-    /// (core/sharded_stage.h): runs whose RunContext sets `shards` ≥ 2
-    /// decompose the segment database over a cell grid, run the wrapped
-    /// backend independently per shard (in parallel across the run's
-    /// threads), and merge shard-border clusters through a halo exchange
-    /// behind the communicator seam. Same call-after-the-backend contract as
+    /// (core/sharded_stage.h): with `options.shards` ≥ 2, runs decompose the
+    /// segment database over a cell grid, run the wrapped backend
+    /// independently per shard (in parallel across the run's threads), and
+    /// merge shard-border clusters through a halo exchange behind the
+    /// communicator seam. Same call-after-the-backend contract as
     /// WithSieveGrouping. Composes with the sieve: apply sharding first so
     /// the sieve's sampled sub-database is what gets sharded.
     Builder& WithShardedGrouping(const ShardedGroupOptions& options);
     /// Disables representative generation (stage 3 is skipped; Run returns an
     /// empty `representatives` vector).
     Builder& WithoutRepresentatives();
-
-    /// Default worker-thread count for runs whose RunContext leaves
-    /// num_threads at 0. 0 = hardware concurrency.
-    Builder& SetDefaultNumThreads(int num_threads);
-
-    /// Default persistent neighbor-cache directory for runs whose RunContext
-    /// leaves neighbor_cache_dir empty (see RunContext::neighbor_cache_dir
-    /// for semantics). Empty (the default) disables the cache.
-    Builder& WithNeighborCache(std::string directory);
 
     /// Validates the assembly and every stage's configuration; returns the
     /// engine or the first validation failure.
@@ -207,13 +142,7 @@ class TraclusEngine {
     std::shared_ptr<const GroupStage> group_;
     /// Null = stage 3 disabled (WithoutRepresentatives).
     std::shared_ptr<const RepresentativeStage> representative_;
-    int default_num_threads_ = 0;
-    std::string default_neighbor_cache_dir_;
   };
-
-  /// Maps the legacy flat TraclusConfig onto the equivalent builder assembly.
-  /// See the README migration table for the field-by-field correspondence.
-  static common::Result<TraclusEngine> FromConfig(const TraclusConfig& config);
 
   /// Runs the full pipeline (Fig. 4). Stage errors and cancellation propagate;
   /// a database with zero trajectories is kFailedPrecondition.
@@ -246,10 +175,8 @@ class TraclusEngine {
 
   /// Runs only the grouping stage (Fig. 4 line 04) on a prebuilt segment
   /// store. An empty store is valid input (an empty clustering results).
-  /// (Callers holding a raw segment vector freeze it explicitly:
-  /// `engine.Group(traj::SegmentStore::FromSegments(std::move(segments)))` —
-  /// the deprecated vector overload that hid the O(n) freeze was removed;
-  /// see the README migration table.)
+  /// Callers holding a raw segment vector freeze it explicitly:
+  /// `engine.Group(traj::SegmentStore::FromSegments(std::move(segments)))`.
   common::Result<cluster::ClusteringResult> Group(
       const traj::SegmentStore& store, const RunContext& ctx = {}) const;
 
@@ -267,50 +194,24 @@ class TraclusEngine {
   const RepresentativeStage* representative_stage() const {
     return representative_.get();
   }
-  int default_num_threads() const { return default_num_threads_; }
-  /// Empty when the persistent neighbor cache is disabled.
-  const std::string& default_neighbor_cache_dir() const {
-    return default_neighbor_cache_dir_;
-  }
 
  private:
   TraclusEngine(std::shared_ptr<const PartitionStage> partition,
                 std::shared_ptr<const GroupStage> group,
-                std::shared_ptr<const RepresentativeStage> representative,
-                int default_num_threads, std::string default_neighbor_cache_dir)
+                std::shared_ptr<const RepresentativeStage> representative)
       : partition_(std::move(partition)),
         group_(std::move(group)),
-        representative_(std::move(representative)),
-        default_num_threads_(default_num_threads),
-        default_neighbor_cache_dir_(std::move(default_neighbor_cache_dir)) {}
+        representative_(std::move(representative)) {}
 
-  /// Copies `ctx` with num_threads resolved against the engine default.
-  RunContext ResolveContext(const RunContext& ctx) const;
-
-  // Stage drivers over an already-resolved context (`Run` resolves once for
-  // the whole pipeline; the public single-stage entry points resolve then
-  // delegate here).
-  common::Result<PartitionOutput> PartitionImpl(
-      const traj::TrajectoryDatabase& db, const RunContext& rctx) const;
-  common::Result<cluster::ClusteringResult> GroupImpl(
-      const traj::SegmentStore& store, const RunContext& rctx) const;
-  common::Result<std::vector<traj::Trajectory>> RepresentativesImpl(
-      const traj::SegmentStore& store,
-      const cluster::ClusteringResult& clustering,
-      const RunContext& rctx) const;
+  /// The tail both eager-shaped runs share: groups `out->store`, then (when
+  /// stage 3 is enabled) sweeps its clusters into `out->representatives`.
+  common::Status GroupAndRepresent(TraclusResult* out,
+                                   const RunContext& ctx) const;
 
   std::shared_ptr<const PartitionStage> partition_;
   std::shared_ptr<const GroupStage> group_;
   std::shared_ptr<const RepresentativeStage> representative_;  // May be null.
-  int default_num_threads_ = 0;
-  std::string default_neighbor_cache_dir_;
 };
-
-/// The sweep-representative options a legacy TraclusConfig implies: the
-/// config's representative_min_lns < 0 falls back to its clustering MinLns
-/// (the paper's choice) and γ is clamped at 0.
-SweepRepresentativeOptions RepresentativeOptionsFromConfig(
-    const TraclusConfig& config);
 
 }  // namespace traclus::core
 

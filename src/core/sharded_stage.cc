@@ -135,7 +135,7 @@ common::Status ShardedGroupStage::Validate() const {
 
 common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     const traj::SegmentStore& store, const RunContext& ctx) const {
-  const size_t S = ctx.shards;
+  const size_t S = options_.shards;
   const size_t n = store.size();
   if (S <= 1 || n == 0) {
     // Sharding disabled: the decorator is transparent, byte for byte.
@@ -158,15 +158,12 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   const std::vector<std::vector<size_t>> ghosts = grid.GhostLists(reach);
 
   // Per-shard inner runs: single-threaded (shard-level parallelism only —
-  // nested pool use from a worker would deadlock), sieve/sharding disabled,
-  // progress muted (concurrent sinks would interleave), and shard_local set
-  // so whole-database post-filters wait for the merge.
+  // nested pool use from a worker would deadlock), progress muted
+  // (concurrent sinks would interleave), and shard_local set so
+  // whole-database post-filters wait for the merge.
   RunContext inner_ctx = ctx;
   inner_ctx.num_threads = 1;
-  inner_ctx.shards = 0;
   inner_ctx.shard_local = true;
-  inner_ctx.sieve = 0;
-  inner_ctx.sieve_offset = 0;
   inner_ctx.progress = nullptr;
 
   std::vector<ShardState> states(S);

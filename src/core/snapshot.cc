@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "partition/approximate_partitioner.h"
@@ -21,6 +21,8 @@ namespace {
 constexpr uint32_t kMagic = 0x314E5354u;
 // Cap on fallback member segments per representative-less cluster.
 constexpr size_t kMaxFallbackMembers = 32;
+// Smallest encoding of one cluster: id + member count.
+constexpr uint64_t kClusterHeaderBytes = 16;
 
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
@@ -35,7 +37,7 @@ double BitsToDouble(uint64_t bits) {
 }
 
 template <typename T>
-void WriteRaw(std::ofstream& out, const T& v) {
+void WriteRaw(std::ostream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
@@ -45,7 +47,7 @@ bool ReadRaw(std::ifstream& in, T* v) {
   return in.good();
 }
 
-void WriteDouble(std::ofstream& out, double v) { WriteRaw(out, DoubleBits(v)); }
+void WriteDouble(std::ostream& out, double v) { WriteRaw(out, DoubleBits(v)); }
 
 bool ReadDouble(std::ifstream& in, double* v) {
   uint64_t bits = 0;
@@ -54,13 +56,23 @@ bool ReadDouble(std::ifstream& in, double* v) {
   return true;
 }
 
-void WriteString(std::ofstream& out, const std::string& s) {
+void WriteString(std::ostream& out, const std::string& s) {
   WriteRaw(out, static_cast<uint64_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 common::Status Truncated(const std::string& path) {
   return common::Status::IOError("truncated snapshot file " + path);
+}
+
+// A count field announcing more records than the bytes left in the file can
+// hold is a truncation (or a corrupt count) — rejected before any
+// allocation sized by it.
+common::Status ShortFor(const std::string& path, const char* what,
+                        uint64_t count) {
+  return common::Status::IOError("truncated snapshot file " + path + ": " +
+                                 std::to_string(count) + " " + what +
+                                 " do not fit in the remaining bytes");
 }
 
 common::Status Corrupt(const std::string& path, const std::string& what) {
@@ -73,6 +85,57 @@ geom::Point MakePoint(const double* coords, int dims) {
       dims == 3 ? geom::Point(coords[0], coords[1], coords[2])
                 : geom::Point(coords[0], dims > 1 ? coords[1] : 0.0);
   return p;
+}
+
+// Cross-checks a loaded clustering: cluster ids are dense (id == index),
+// labels[i] == c exactly when i is a member of cluster c (each segment in at
+// most one cluster), every other label is noise, and num_noise counts them.
+// Uses no scratch memory: while the member lists are walked, each member's
+// label is flipped to the mark -(c + 3), below every valid label, so a
+// segment listed twice is caught; the final label pass restores the marks
+// and requires every unmarked label to be noise.
+common::Status CheckClustering(const std::string& path,
+                               cluster::ClusteringResult* clustering) {
+  std::vector<int>& labels = clustering->labels;
+  const size_t num_clusters = clustering->clusters.size();
+  for (const int label : labels) {
+    if (label < cluster::kNoise ||
+        (label >= 0 && static_cast<size_t>(label) >= num_clusters)) {
+      return Corrupt(path, "label " + std::to_string(label) +
+                               " names no cluster");
+    }
+  }
+  for (size_t ci = 0; ci < num_clusters; ++ci) {
+    const cluster::Cluster& c = clustering->clusters[ci];
+    if (c.id != static_cast<int>(ci)) {
+      return Corrupt(path, "cluster id " + std::to_string(c.id) +
+                               " at index " + std::to_string(ci));
+    }
+    for (const size_t m : c.member_indices) {
+      if (labels[m] != c.id) {
+        return Corrupt(path, "segment " + std::to_string(m) +
+                                 " is listed in cluster " +
+                                 std::to_string(c.id) +
+                                 " but labelled otherwise (or listed twice)");
+      }
+      labels[m] = -(c.id + 3);
+    }
+  }
+  size_t noise = 0;
+  for (int& label : labels) {
+    if (label <= -3) {
+      label = -label - 3;
+    } else if (label == cluster::kNoise) {
+      ++noise;
+    } else {
+      return Corrupt(path, "a clustered label is missing from its cluster's "
+                           "members");
+    }
+  }
+  if (noise != clustering->num_noise) {
+    return Corrupt(path, "noise count disagrees with the labels");
+  }
+  return common::Status::OK();
 }
 
 }  // namespace
@@ -137,11 +200,11 @@ void ClusterSnapshot::InitServing() {
 }
 
 common::Status ClusterSnapshot::Save(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return common::Status::IOError("cannot open " + tmp + " for writing");
-  }
+  return common::WriteFileAtomically(
+      path, "snapshot file", [this](std::ofstream& out) { WriteTo(out); });
+}
+
+void ClusterSnapshot::WriteTo(std::ostream& out) const {
   WriteRaw(out, kMagic);
   WriteRaw(out, kSnapshotFileVersion);
 
@@ -191,20 +254,6 @@ common::Status ClusterSnapshot::Save(const std::string& path) const {
   }
 
   WriteRaw(out, kMagic);
-  out.close();
-  if (!out.good()) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return common::Status::IOError("failed writing snapshot file " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return common::Status::IOError("cannot move " + tmp + " into place: " +
-                                   ec.message());
-  }
-  return common::Status::OK();
 }
 
 common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
@@ -213,6 +262,18 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
   if (!in) {
     return common::Status::NotFound("no snapshot file at " + path);
   }
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (end < 0 || !in) {
+    return common::Status::IOError("cannot size snapshot file " + path);
+  }
+  const auto file_size = static_cast<uint64_t>(end);
+  // Whether `count` records of `bytes_each` fit in what is left to read.
+  const auto fits = [&](uint64_t count, uint64_t bytes_each) {
+    const auto pos = static_cast<uint64_t>(in.tellg());
+    return pos <= file_size && count <= (file_size - pos) / bytes_each;
+  };
 
   uint32_t magic = 0;
   uint32_t version = 0;
@@ -251,6 +312,8 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
   if (dims < 2 || dims > static_cast<uint64_t>(geom::kMaxDims)) {
     return Corrupt(path, "dims out of range");
   }
+  // Per segment: id, trajectory id, weight, then 2·dims coordinates.
+  if (!fits(n, 8 * (3 + 2 * dims))) return ShortFor(path, "segments", n);
   std::vector<geom::Segment> segments;
   segments.reserve(n);
   std::vector<double> coords(2 * dims);
@@ -276,6 +339,9 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
 
   uint64_t num_clusters = 0;
   if (!ReadRaw(in, &num_clusters)) return Truncated(path);
+  if (!fits(num_clusters, kClusterHeaderBytes)) {
+    return ShortFor(path, "clusters", num_clusters);
+  }
   snap->clustering_.clusters.resize(num_clusters);
   for (uint64_t ci = 0; ci < num_clusters; ++ci) {
     cluster::Cluster& c = snap->clustering_.clusters[ci];
@@ -284,6 +350,7 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
     if (!ReadRaw(in, &id) || !ReadRaw(in, &members)) return Truncated(path);
     c.id = static_cast<int>(id);
     if (members > n) return Corrupt(path, "cluster larger than the store");
+    if (!fits(members, 8)) return ShortFor(path, "cluster members", members);
     c.member_indices.resize(members);
     for (uint64_t k = 0; k < members; ++k) {
       uint64_t idx = 0;
@@ -292,6 +359,7 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
       c.member_indices[k] = idx;
     }
   }
+  if (!fits(n, 4)) return ShortFor(path, "labels", n);
   snap->clustering_.labels.resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     int32_t label = 0;
@@ -301,6 +369,7 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
   uint64_t num_noise = 0;
   if (!ReadRaw(in, &num_noise)) return Truncated(path);
   snap->clustering_.num_noise = num_noise;
+  TRACLUS_RETURN_NOT_OK(CheckClustering(path, &snap->clustering_));
 
   uint64_t num_reps = 0;
   if (!ReadRaw(in, &num_reps)) return Truncated(path);
@@ -317,12 +386,16 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
       return Truncated(path);
     }
     if (label_len > (1u << 20)) return Corrupt(path, "label too long");
+    if (!fits(label_len, 1)) return ShortFor(path, "label bytes", label_len);
     std::string label(label_len, '\0');
     in.read(label.data(), static_cast<std::streamsize>(label_len));
     if (!in.good()) return Truncated(path);
     traj::Trajectory rep(id, std::move(label), weight);
     uint64_t npoints = 0;
     if (!ReadRaw(in, &npoints)) return Truncated(path);
+    if (!fits(npoints, 8 * dims)) {
+      return ShortFor(path, "representative points", npoints);
+    }
     for (uint64_t pi = 0; pi < npoints; ++pi) {
       for (uint64_t d = 0; d < dims; ++d) {
         if (!ReadDouble(in, &coords[d])) return Truncated(path);

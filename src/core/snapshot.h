@@ -37,6 +37,7 @@
 //   representatives: per cluster id/label/weight/points
 //   u32 magic 'TSN1'  — trailing sentinel
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,11 +103,17 @@ class ClusterSnapshot {
 
   /// Reloads a snapshot written by Save. Typed failures mirror the neighbor
   /// cache: missing → NotFound, bad magic/version/structure →
-  /// InvalidArgument, short file → IOError.
+  /// InvalidArgument, short file → IOError. Every count is bounded by the
+  /// bytes left in the file before anything is sized by it (a count the
+  /// file cannot hold reads as a short file), and the loaded clustering is
+  /// cross-checked: dense cluster ids, labels[i] == c exactly for the
+  /// members of cluster c, noise elsewhere, and a matching noise count.
   static common::Result<std::unique_ptr<ClusterSnapshot>> Load(
       const std::string& path);
 
-  /// Writes the v1 file atomically (tmp + rename).
+  /// Writes the v1 file atomically (a writer-unique temp file renamed into
+  /// place, common/atomic_file.h), so concurrent Saves to one path each
+  /// install a complete file.
   common::Status Save(const std::string& path) const;
 
   /// Assigns every segment of `queries` to its nearest cluster within ε:
@@ -146,6 +153,9 @@ class ClusterSnapshot {
   /// Deterministic: depends only on the (store, clustering, representatives)
   /// value, so FromResult and Load build identical serving sets.
   void InitServing();
+
+  /// Streams the v1 file body (header through trailing sentinel) to `out`.
+  void WriteTo(std::ostream& out) const;
 
   traj::SegmentStore store_;
   cluster::ClusteringResult clustering_;

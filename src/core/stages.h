@@ -41,14 +41,14 @@ using ProgressFn =
 /// Per-run execution parameters, shared by every stage of one engine run.
 /// Separate from stage configuration on purpose: the same engine can serve
 /// many concurrent runs, each with its own threads, progress sink, and
-/// cancellation token.
+/// cancellation token. Apart from the internal `shard_local` flag, nothing
+/// here changes what a run computes — only how (and where) it computes it;
+/// stage knobs live in the stage options.
 struct RunContext {
-  /// Worker threads for the parallel phases. > 0: exactly that many; 0: the
-  /// engine's configured default (which itself defaults to hardware
-  /// concurrency); < 0: hardware concurrency regardless of the engine
-  /// default. 1 runs everything inline on the calling thread, reproducing the
-  /// original single-threaded execution exactly. Results are identical for
-  /// every value.
+  /// Worker threads for the parallel phases. > 0: exactly that many; ≤ 0:
+  /// hardware concurrency. 1 runs everything inline on the calling thread,
+  /// reproducing the original single-threaded execution exactly. Results
+  /// are identical for every value.
   int num_threads = 0;
   /// Optional progress sink (see ProgressFn).
   ProgressFn progress;
@@ -62,28 +62,6 @@ struct RunContext {
   /// built without AVX2). The kernels are bit-identical, so results never
   /// depend on this knob — only throughput does.
   distance::BatchKernel distance_kernel = distance::BatchKernel::kAuto;
-  /// Sieve-sampled grouping (core/sieve_stage.h): when the group stage is a
-  /// SieveGroupStage, only every `sieve`-th trajectory's segments are grouped
-  /// through the inner backend and the rest are batch-assigned to the nearest
-  /// cluster — O((n/k)² + n·|clusters|) instead of O(n²). 0 or 1 disables the
-  /// sieve (the inner backend runs on everything, byte-identically to using
-  /// it directly). Deterministic for fixed (sieve, sieve_offset): labels are
-  /// identical across thread counts and kernels. Ignored by every other
-  /// group stage.
-  size_t sieve = 0;
-  /// Which residue class of the trajectory first-appearance rank is sampled
-  /// (taken modulo `sieve`); lets repeated runs sample disjoint subsets.
-  size_t sieve_offset = 0;
-  /// Sharded grouping (core/sharded_stage.h): when the group stage is a
-  /// ShardedGroupStage, the segment database is decomposed over a cell grid
-  /// into this many shards, the inner backend runs independently per shard
-  /// (shards execute in parallel across the run's threads), and shard-border
-  /// clusters are merged through a halo exchange behind the communicator seam
-  /// (core/shard_comm.h). 0 or 1 disables sharding (the inner backend runs on
-  /// everything, byte-identically to using it directly). Deterministic for a
-  /// fixed shard count: labels are identical across thread counts and
-  /// kernels. Ignored by every other group stage.
-  size_t shards = 0;
   /// Set by ShardedGroupStage on the context of its per-shard inner runs
   /// (never by callers): tells the inner backend it is clustering one shard
   /// of a larger database, so whole-database post-filters — today the

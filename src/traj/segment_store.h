@@ -52,8 +52,7 @@ class SegmentStore {
   /// Named factory for freezing a raw segment vector into a store — the
   /// explicit spelling of the constructor above, preferred at call sites
   /// where "one O(n) invariant pass happens here" should be visible (e.g.
-  /// ahead of TraclusEngine::Group, whose implicit freeze-a-store overload
-  /// is deprecated).
+  /// ahead of TraclusEngine::Group, which takes only a frozen store).
   static SegmentStore FromSegments(std::vector<geom::Segment> segments) {
     return SegmentStore(std::move(segments));
   }

@@ -108,7 +108,7 @@ TEST(HurricaneGeneratorTest, TracksStayInWorldBand) {
   EXPECT_LE(st.bounds.hi(1), 80.0);
 }
 
-TEST(HurricaneGeneratorTest, WeightsDrawnFromConfiguredRange) {
+TEST(HurricaneGeneratorTest, WeightsDrawnFromTheConfiguredRange) {
   HurricaneConfig cfg;
   cfg.min_weight = 1.0;
   cfg.max_weight = 5.0;

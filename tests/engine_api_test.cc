@@ -112,12 +112,21 @@ TEST(EngineBuilderTest, NullMandatoryStageIsInvalidArgument) {
   EXPECT_EQ(no_group.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineBuilderTest, FromConfigRejectsBadLegacyConfig) {
-  TraclusConfig config;
-  config.eps = -3.0;
-  const auto engine = TraclusEngine::FromConfig(config);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kOutOfRange);
+// The default assembly at (ε, MinLns), sweeping at the clustering MinLns (the
+// paper's choice).
+common::Result<TraclusEngine> DbscanEngine(double eps, double min_lns,
+                                           bool use_weights = false) {
+  DbscanGroupOptions group;
+  group.eps = eps;
+  group.min_lns = min_lns;
+  group.use_weights = use_weights;
+  SweepRepresentativeOptions reps;
+  reps.min_lns = min_lns;
+  reps.use_weights = use_weights;
+  return TraclusEngine::Builder()
+      .UseDbscanGrouping(group)
+      .UseSweepRepresentatives(reps)
+      .Build();
 }
 
 // ---------------------------------------------------------------------------
@@ -192,11 +201,7 @@ TEST(EngineCancellationTest, PreCancelledTokenStopsBeforeAnyStage) {
 }
 
 TEST(EngineCancellationTest, MidRunCancellationAbortsTheGroupStage) {
-  TraclusConfig config;
-  config.eps = 0.94;
-  config.min_lns = 5;
-  config.num_threads = 2;  // Exercise the blocked batched grouping path.
-  const auto engine = TraclusEngine::FromConfig(config);
+  const auto engine = DbscanEngine(0.94, 5);
   ASSERT_TRUE(engine.ok());
   const auto db = datagen::GenerateHurricanes(datagen::HurricaneConfig{});
 
@@ -204,6 +209,7 @@ TEST(EngineCancellationTest, MidRunCancellationAbortsTheGroupStage) {
   // partitioning completes, grouping starts and must abort at its next poll.
   common::CancellationToken token;
   RunContext ctx;
+  ctx.num_threads = 2;  // Exercise the blocked batched grouping path.
   ctx.cancellation = &token;
   std::vector<std::string> stages;
   ctx.progress = [&](const std::string& stage, double) {
@@ -249,10 +255,7 @@ TEST(EngineCancellationTest, MidRunCancellationAbortsTheOpticsStage) {
 // ---------------------------------------------------------------------------
 
 TEST(EngineProgressTest, StagesReportInOrderFromZeroToOne) {
-  TraclusConfig config;
-  config.eps = 0.94;
-  config.min_lns = 5;
-  const auto engine = TraclusEngine::FromConfig(config);
+  const auto engine = DbscanEngine(0.94, 5);
   ASSERT_TRUE(engine.ok());
   datagen::HurricaneConfig gen;
   gen.num_trajectories = 60;
@@ -431,21 +434,21 @@ GoldenRun LoadGolden(const std::string& name) {
   return g;
 }
 
-void ExpectMatchesGolden(const TraclusConfig& base,
+void ExpectMatchesGolden(double eps, double min_lns,
                          const traj::TrajectoryDatabase& db,
                          const std::string& golden_name) {
   const GoldenRun golden = LoadGolden(golden_name);
   ASSERT_GT(golden.num_segments, 0u) << "empty golden " << golden_name;
   ASSERT_GT(golden.num_clusters, 0u)
       << "equivalence must be proven on a non-trivial clustering";
+  const auto engine = DbscanEngine(eps, min_lns);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << golden_name << " @ " << threads
                                     << " threads");
-    TraclusConfig config = base;
-    config.num_threads = threads;
-    const auto engine = TraclusEngine::FromConfig(config);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    const auto run = engine->Run(db);
+    RunContext ctx;
+    ctx.num_threads = threads;
+    const auto run = engine->Run(db, ctx);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
 
     EXPECT_EQ(run->segments().size(), golden.num_segments);
@@ -488,18 +491,12 @@ void ExpectMatchesGolden(const TraclusConfig& base,
 
 TEST(GoldenEquivalenceTest, HurricaneMatchesPreRefactorPipeline) {
   const auto db = datagen::GenerateHurricanes(datagen::HurricaneConfig{});
-  TraclusConfig config;
-  config.eps = 0.94;
-  config.min_lns = 5;
-  ExpectMatchesGolden(config, db, "hurricane_default.golden");
+  ExpectMatchesGolden(0.94, 5, db, "hurricane_default.golden");
 }
 
 TEST(GoldenEquivalenceTest, DeerMatchesPreRefactorPipeline) {
   const auto db = datagen::GenerateAnimals(datagen::Deer1995Config());
-  TraclusConfig config;
-  config.eps = 1.8;
-  config.min_lns = 8;
-  ExpectMatchesGolden(config, db, "deer_default.golden");
+  ExpectMatchesGolden(1.8, 8, db, "deer_default.golden");
 }
 
 TEST(GoldenEquivalenceTest, WeightedThreadedRunsAreThreadCountInvariant) {
@@ -511,22 +508,17 @@ TEST(GoldenEquivalenceTest, WeightedThreadedRunsAreThreadCountInvariant) {
   gen.min_weight = 1.0;
   gen.max_weight = 5.0;
   const auto db = datagen::GenerateHurricanes(gen);
-  TraclusConfig config;
-  config.eps = 0.94;
-  config.min_lns = 6;
-  config.use_weights = true;
+  const auto engine = DbscanEngine(0.94, 6, /*use_weights=*/true);
+  ASSERT_TRUE(engine.ok());
 
-  config.num_threads = 1;
-  const auto serial_engine = TraclusEngine::FromConfig(config);
-  ASSERT_TRUE(serial_engine.ok());
-  const auto serial = serial_engine->Run(db);
+  RunContext ctx;
+  ctx.num_threads = 1;
+  const auto serial = engine->Run(db, ctx);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_FALSE(serial->clustering.clusters.empty());
 
-  config.num_threads = 4;
-  const auto parallel_engine = TraclusEngine::FromConfig(config);
-  ASSERT_TRUE(parallel_engine.ok());
-  const auto parallel = parallel_engine->Run(db);
+  ctx.num_threads = 4;
+  const auto parallel = engine->Run(db, ctx);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   EXPECT_EQ(serial->clustering.labels, parallel->clustering.labels);

@@ -19,11 +19,20 @@ namespace {
 using geom::Point;
 using geom::Segment;
 
-// Runs the legacy-shaped config through the engine, dying loudly on errors —
-// these tests hardcode valid configs and non-empty inputs.
-core::TraclusResult RunConfig(const core::TraclusConfig& cfg,
-                              const traj::TrajectoryDatabase& db) {
-  auto engine = core::TraclusEngine::FromConfig(cfg);
+// Runs the default assembly at (ε, MinLns) with the sweep at `sweep_min_lns`,
+// dying loudly on errors — these tests hardcode valid configs and non-empty
+// inputs.
+core::TraclusResult RunDbscan(const traj::TrajectoryDatabase& db, double eps,
+                              double min_lns, double sweep_min_lns) {
+  core::DbscanGroupOptions group;
+  group.eps = eps;
+  group.min_lns = min_lns;
+  core::SweepRepresentativeOptions reps;
+  reps.min_lns = sweep_min_lns;
+  auto engine = core::TraclusEngine::Builder()
+                    .UseDbscanGrouping(group)
+                    .UseSweepRepresentatives(reps)
+                    .Build();
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   auto result = engine->Run(db);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -66,10 +75,7 @@ TEST(ThreeDimensionalTest, FullPipelineOn3DTrajectories) {
     }
     db.Add(std::move(tr));
   }
-  core::TraclusConfig cfg;
-  cfg.eps = 15.0;
-  cfg.min_lns = 3;
-  const auto result = RunConfig(cfg, db);
+  const auto result = RunDbscan(db, 15.0, 3, 3);
   // Same spatial corridor, but the epochs are 500 apart in t: two clusters.
   EXPECT_EQ(result.clustering.clusters.size(), 2u);
 }
@@ -123,10 +129,7 @@ TEST(GeneratorMixTest, AllWestwardHurricanesYieldOneCorridorSystem) {
   gen.frac_straight_eastward = 0.0;
   const auto db = datagen::GenerateHurricanes(gen);
 
-  core::TraclusConfig cfg;
-  cfg.eps = 0.94;
-  cfg.min_lns = 7;
-  const auto result = RunConfig(cfg, db);
+  const auto result = RunDbscan(db, 0.94, 7, 7);
   ASSERT_GE(result.clustering.clusters.size(), 1u);
   // Every representative must head west (negative net x) in the lower band.
   for (const auto& rep : result.representatives) {
@@ -147,18 +150,15 @@ TEST(GeneratorMixTest, AllErraticHurricanesYieldNoClusters) {
   gen.frac_straight_eastward = 0.0;  // 100% erratic random walks.
   const auto db = datagen::GenerateHurricanes(gen);
 
-  core::TraclusConfig cfg;
-  cfg.eps = 0.94;
-  cfg.min_lns = 7;
-  const auto result = RunConfig(cfg, db);
+  const auto result = RunDbscan(db, 0.94, 7, 7);
   EXPECT_LE(result.clustering.clusters.size(), 2u)
       << "random walks should produce (almost) no corridor clusters";
   EXPECT_GT(result.clustering.num_noise, result.segments().size() / 2);
 }
 
 TEST(RepresentativeMinLnsOverrideTest, LowerSweepThresholdExtendsCoverage) {
-  // core::TraclusConfig::representative_min_lns decouples the sweep threshold
-  // from the clustering MinLns (Fig. 15 takes MinLns as its own input).
+  // SweepRepresentativeOptions::min_lns decouples the sweep threshold from
+  // the clustering MinLns (Fig. 15 takes MinLns as its own input).
   traj::TrajectoryDatabase db;
   for (int i = 0; i < 6; ++i) {
     traj::Trajectory tr(i);
@@ -167,12 +167,9 @@ TEST(RepresentativeMinLnsOverrideTest, LowerSweepThresholdExtendsCoverage) {
     for (int k = 0; k <= 10; ++k) tr.Add(Point(lo + 15.0 * k, 0.3 * i));
     db.Add(std::move(tr));
   }
-  core::TraclusConfig cfg;
-  cfg.eps = 25.0;  // Spans are staggered by 10, so d∥ between neighbors is 10.
-  cfg.min_lns = 4;
-  const auto strict = RunConfig(cfg, db);
-  cfg.representative_min_lns = 2;
-  const auto relaxed = RunConfig(cfg, db);
+  // ε = 25: spans are staggered by 10, so d∥ between neighbors is 10.
+  const auto strict = RunDbscan(db, 25.0, 4, 4);
+  const auto relaxed = RunDbscan(db, 25.0, 4, 2);
   ASSERT_EQ(strict.representatives.size(), relaxed.representatives.size());
   ASSERT_GE(strict.representatives.size(), 1u);
   auto span = [](const traj::Trajectory& t) {
@@ -188,11 +185,8 @@ TEST(DeterminismTest, FullPipelineIsBitStableAcrossRuns) {
   datagen::HurricaneConfig gen;
   gen.num_trajectories = 80;
   const auto db = datagen::GenerateHurricanes(gen);
-  core::TraclusConfig cfg;
-  cfg.eps = 0.94;
-  cfg.min_lns = 6;
-  const auto a = RunConfig(cfg, db);
-  const auto b = RunConfig(cfg, db);
+  const auto a = RunDbscan(db, 0.94, 6, 6);
+  const auto b = RunDbscan(db, 0.94, 6, 6);
   ASSERT_EQ(a.representatives.size(), b.representatives.size());
   for (size_t i = 0; i < a.representatives.size(); ++i) {
     ASSERT_EQ(a.representatives[i].size(), b.representatives[i].size());

@@ -304,21 +304,19 @@ TEST(NeighborCacheFileTest, EngineRunsAreByteIdenticalColdWarmAndUncached) {
                           .UseMdlPartitioning()
                           .UseDbscanGrouping(group)
                           .UseSweepRepresentatives(reps)
-                          .WithNeighborCache(dir)
                           .Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  const auto plain = core::TraclusEngine::Builder()
-                         .UseMdlPartitioning()
-                         .UseDbscanGrouping(group)
-                         .UseSweepRepresentatives(reps)
-                         .Build();
-  ASSERT_TRUE(plain.ok());
 
-  const auto expect = plain->Run(db);
+  // A run whose context names no directory leaves the cache untouched.
+  const auto expect = engine->Run(db);
   ASSERT_TRUE(expect.ok());
-  const auto cold = engine->Run(db);
+  EXPECT_TRUE(FilesIn(dir).empty());
+
+  core::RunContext ctx;
+  ctx.neighbor_cache_dir = dir;
+  const auto cold = engine->Run(db, ctx);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  const auto warm = engine->Run(db);
+  const auto warm = engine->Run(db, ctx);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   for (const auto* run : {&cold, &warm}) {
@@ -343,14 +341,6 @@ TEST(NeighborCacheFileTest, EngineRunsAreByteIdenticalColdWarmAndUncached) {
     ++files;
   }
   EXPECT_EQ(files, 1u);
-
-  // A per-run context override beats the builder default off-switch: an
-  // empty engine with ctx.neighbor_cache_dir set also hits the same file.
-  core::RunContext ctx;
-  ctx.neighbor_cache_dir = dir;
-  const auto via_ctx = plain->Run(db, ctx);
-  ASSERT_TRUE(via_ctx.ok());
-  EXPECT_EQ(via_ctx->clustering.labels, expect->clustering.labels);
 }
 
 TEST(NeighborCacheFileTest, ConcurrentColdWritersShareOneDirectory) {
@@ -399,13 +389,14 @@ TEST(NeighborCacheFileTest, OutOfRangePayloadIndexIsRecomputed) {
                           .UseMdlPartitioning()
                           .UseDbscanGrouping(group)
                           .UseSweepRepresentatives(reps)
-                          .WithNeighborCache(dir)
                           .Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  core::RunContext ctx;
+  ctx.neighbor_cache_dir = dir;
   const std::vector<int> golden = HurricaneGoldenLabels();
   ASSERT_FALSE(golden.empty());
 
-  const auto cold = engine->Run(db);
+  const auto cold = engine->Run(db, ctx);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_EQ(cold->clustering.labels, golden);
   const std::vector<std::string> files = FilesIn(dir);
@@ -450,7 +441,7 @@ TEST(NeighborCacheFileTest, OutOfRangePayloadIndexIsRecomputed) {
 
   // A run over the corrupted file recomputes and reproduces the golden.
   corrupt_first_index();
-  const auto rerun = engine->Run(db);
+  const auto rerun = engine->Run(db, ctx);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_EQ(rerun->clustering.labels, golden);
   auto healed = FileNeighborhoodCache::Create(base, store, dist.config(),

@@ -30,31 +30,48 @@ const traj::TrajectoryDatabase& TestDatabase() {
   return db;
 }
 
-// Engine run helper: these tests hardcode valid configs / non-empty inputs.
-core::TraclusResult RunConfig(const core::TraclusConfig& cfg,
-                              const traj::TrajectoryDatabase& db) {
-  auto engine = core::TraclusEngine::FromConfig(cfg);
-  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  auto result = engine->Run(db);
+// The default assembly at ε = 0.94, MinLns = 5 (the sweep at the same
+// MinLns); these tests hardcode a valid config and non-empty inputs.
+const core::TraclusEngine& Engine() {
+  static const core::TraclusEngine engine = [] {
+    core::DbscanGroupOptions group;
+    group.eps = 0.94;
+    group.min_lns = 5;
+    core::SweepRepresentativeOptions reps;
+    reps.min_lns = 5;
+    auto built = core::TraclusEngine::Builder()
+                     .UseDbscanGrouping(group)
+                     .UseSweepRepresentatives(reps)
+                     .Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return std::move(built).ValueOrDie();
+  }();
+  return engine;
+}
+
+core::RunContext Threads(int num_threads) {
+  core::RunContext ctx;
+  ctx.num_threads = num_threads;
+  return ctx;
+}
+
+core::TraclusResult RunWithThreads(int num_threads,
+                                   const traj::TrajectoryDatabase& db) {
+  auto result = Engine().Run(db, Threads(num_threads));
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).ValueOrDie();
 }
 
-core::PartitionOutput PartitionConfig(const core::TraclusConfig& cfg,
-                                      const traj::TrajectoryDatabase& db) {
-  auto engine = core::TraclusEngine::FromConfig(cfg);
-  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  auto out = engine->Partition(db);
+core::PartitionOutput PartitionWithThreads(
+    int num_threads, const traj::TrajectoryDatabase& db) {
+  auto out = Engine().Partition(db, Threads(num_threads));
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return std::move(out).ValueOrDie();
 }
 
 const traj::SegmentStore& TestSegments() {
-  static const traj::SegmentStore store = [] {
-    core::TraclusConfig cfg;
-    cfg.num_threads = 1;
-    return std::move(PartitionConfig(cfg, TestDatabase()).store);
-  }();
+  static const traj::SegmentStore store =
+      std::move(PartitionWithThreads(1, TestDatabase()).store);
   return store;
 }
 
@@ -83,15 +100,11 @@ void ExpectClusteringEqual(const cluster::ClusteringResult& a,
 }
 
 TEST(ParallelDeterminismTest, PartitionPhaseMatchesSerial) {
-  core::TraclusConfig serial;
-  serial.num_threads = 1;
-  const auto serial_out = PartitionConfig(serial, TestDatabase());
+  const auto serial_out = PartitionWithThreads(1, TestDatabase());
 
   for (const int threads : {2, 4}) {
     SCOPED_TRACE(threads);
-    core::TraclusConfig parallel;
-    parallel.num_threads = threads;
-    const auto parallel_out = PartitionConfig(parallel, TestDatabase());
+    const auto parallel_out = PartitionWithThreads(threads, TestDatabase());
     ExpectSegmentsEqual(serial_out.segments(), parallel_out.segments());
     EXPECT_EQ(serial_out.characteristic_points,
               parallel_out.characteristic_points);
@@ -147,14 +160,8 @@ TEST(ParallelDeterminismTest, DbscanIdenticalAcrossThreadCountsAndProviders) {
 }
 
 TEST(ParallelDeterminismTest, FullPipelineIdenticalAtOneVsNThreads) {
-  core::TraclusConfig cfg;
-  cfg.eps = 0.94;
-  cfg.min_lns = 5;
-  cfg.num_threads = 1;
-  const auto serial = RunConfig(cfg, TestDatabase());
-
-  cfg.num_threads = 4;
-  const auto parallel = RunConfig(cfg, TestDatabase());
+  const auto serial = RunWithThreads(1, TestDatabase());
+  const auto parallel = RunWithThreads(4, TestDatabase());
 
   ExpectSegmentsEqual(serial.segments(), parallel.segments());
   EXPECT_EQ(serial.characteristic_points, parallel.characteristic_points);

@@ -39,7 +39,7 @@ const traj::SegmentStore& HurricaneStore() {
   static const traj::SegmentStore* store = [] {
     const traj::TrajectoryDatabase db =
         datagen::GenerateHurricanes(datagen::HurricaneConfig{});
-    auto engine = TraclusEngine::FromConfig(TraclusConfig{});
+    auto engine = TraclusEngine::Builder().Build();
     EXPECT_TRUE(engine.ok());
     auto partitioned = engine->Partition(db);
     EXPECT_TRUE(partitioned.ok());
@@ -55,17 +55,25 @@ DbscanGroupOptions HurricaneGroupOptions() {
   return options;
 }
 
-ShardedGroupStage MakeShardedStage(const DbscanGroupOptions& group,
+ShardedGroupOptions ShardedOptions(const DbscanGroupOptions& group,
+                                   size_t shards,
                                    ShardedRunStats* stats = nullptr) {
   ShardedGroupOptions sharded;
+  sharded.shards = shards;
   sharded.eps = group.eps;
   sharded.min_lns = group.min_lns;
   sharded.min_trajectory_cardinality = group.min_trajectory_cardinality;
   sharded.use_weights = group.use_weights;
   sharded.distance = group.distance;
   sharded.stats = stats;
+  return sharded;
+}
+
+ShardedGroupStage MakeShardedStage(const DbscanGroupOptions& group,
+                                   size_t shards,
+                                   ShardedRunStats* stats = nullptr) {
   return ShardedGroupStage(std::make_shared<DbscanGroupStage>(group),
-                           sharded);
+                           ShardedOptions(group, shards, stats));
 }
 
 void ExpectSameClustering(const cluster::ClusteringResult& a,
@@ -151,7 +159,7 @@ void ExpectEquivalentModuloContestedBorders(
 }
 
 TEST(ShardStageTest, NameAndValidate) {
-  const ShardedGroupStage stage = MakeShardedStage(HurricaneGroupOptions());
+  const ShardedGroupStage stage = MakeShardedStage(HurricaneGroupOptions(), 4);
   EXPECT_STREQ(stage.name(), "group/sharded+dbscan");
   EXPECT_TRUE(stage.Validate().ok());
 }
@@ -159,13 +167,11 @@ TEST(ShardStageTest, NameAndValidate) {
 TEST(ShardStageTest, ShardingDisabledIsInnerBackendByteForByte) {
   const traj::SegmentStore& store = HurricaneStore();
   const DbscanGroupStage inner(HurricaneGroupOptions());
-  const ShardedGroupStage stage = MakeShardedStage(HurricaneGroupOptions());
   const auto expect = inner.Run(store, RunContext{});
   ASSERT_TRUE(expect.ok());
   for (const size_t shards : {size_t{0}, size_t{1}}) {
-    RunContext ctx;
-    ctx.shards = shards;
-    const auto got = stage.Run(store, ctx);
+    const auto got = MakeShardedStage(HurricaneGroupOptions(), shards)
+                         .Run(store, RunContext{});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectSameClustering(*got, *expect);
   }
@@ -175,13 +181,12 @@ TEST(ShardStageTest, EquivalentToUnshardedAndDeterministic) {
   const traj::SegmentStore& store = HurricaneStore();
   const DbscanGroupOptions group = HurricaneGroupOptions();
   const DbscanGroupStage inner(group);
-  const ShardedGroupStage stage = MakeShardedStage(group);
   const auto golden = inner.Run(store, RunContext{});
   ASSERT_TRUE(golden.ok());
 
   for (const size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
+    const ShardedGroupStage stage = MakeShardedStage(group, shards);
     RunContext base_ctx;
-    base_ctx.shards = shards;
     base_ctx.num_threads = 1;
     base_ctx.distance_kernel = distance::BatchKernel::kScalar;
     const auto reference = stage.Run(store, base_ctx);
@@ -194,7 +199,6 @@ TEST(ShardStageTest, EquivalentToUnshardedAndDeterministic) {
            {distance::BatchKernel::kScalar, distance::BatchKernel::kSimd,
             distance::BatchKernel::kAuto}) {
         RunContext ctx;
-        ctx.shards = shards;
         ctx.num_threads = threads;
         ctx.distance_kernel = kernel;
         const auto got = stage.Run(store, ctx);
@@ -230,11 +234,9 @@ TEST(ShardStageTest, BorderSpanningChainMergesIntoOneCluster) {
   ASSERT_EQ(golden->num_noise, 0u);
 
   ShardedRunStats stats;
-  const ShardedGroupStage stage = MakeShardedStage(group, &stats);
   for (const size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
-    RunContext ctx;
-    ctx.shards = shards;
-    const auto got = stage.Run(store, ctx);
+    const auto got =
+        MakeShardedStage(group, shards, &stats).Run(store, RunContext{});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     // Labels must match outright (one cluster, no numbering freedom); member
     // lists are not compared because DBSCAN emits expansion order while the
@@ -283,13 +285,12 @@ TEST(ShardStageTest, RandomizedCorpusMatchesUnshardedModuloBorders) {
   group.eps = 2.5;
   group.min_lns = 4.0;
   const DbscanGroupStage inner(group);
-  const ShardedGroupStage stage = MakeShardedStage(group);
   const auto golden = inner.Run(store, RunContext{});
   ASSERT_TRUE(golden.ok());
   for (const size_t shards : {size_t{2}, size_t{5}}) {
+    const ShardedGroupStage stage = MakeShardedStage(group, shards);
     for (const int threads : {1, 4}) {
       RunContext ctx;
-      ctx.shards = shards;
       ctx.num_threads = threads;
       const auto got = stage.Run(store, ctx);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -302,10 +303,8 @@ TEST(ShardStageTest, StatsSinkCountsShardsAndGhosts) {
   const traj::SegmentStore& store = HurricaneStore();
   ShardedRunStats stats;
   const ShardedGroupStage stage =
-      MakeShardedStage(HurricaneGroupOptions(), &stats);
-  RunContext ctx;
-  ctx.shards = 4;
-  const auto got = stage.Run(store, ctx);
+      MakeShardedStage(HurricaneGroupOptions(), 4, &stats);
+  const auto got = stage.Run(store, RunContext{});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(stats.shards_run, 4u);
   EXPECT_GT(stats.ghost_segments, 0u);
@@ -353,10 +352,6 @@ TEST(ShardStageTest, BuilderWiresShardedGroupingThroughThePipeline) {
   const traj::TrajectoryDatabase db =
       datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   const DbscanGroupOptions group = HurricaneGroupOptions();
-  ShardedGroupOptions sharded;
-  sharded.eps = group.eps;
-  sharded.min_lns = group.min_lns;
-  sharded.distance = group.distance;
   SweepRepresentativeOptions reps;
   reps.min_lns = group.min_lns;
   const auto plain = TraclusEngine::Builder()
@@ -365,26 +360,29 @@ TEST(ShardStageTest, BuilderWiresShardedGroupingThroughThePipeline) {
                          .UseSweepRepresentatives(reps)
                          .Build();
   ASSERT_TRUE(plain.ok());
-  const auto wrapped = TraclusEngine::Builder()
-                           .UseMdlPartitioning()
-                           .UseDbscanGrouping(group)
-                           .UseSweepRepresentatives(reps)
-                           .WithShardedGrouping(sharded)
-                           .Build();
-  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  // One engine per shard count.
+  const auto wrapped = [&](size_t shards) {
+    return TraclusEngine::Builder()
+        .UseMdlPartitioning()
+        .UseDbscanGrouping(group)
+        .UseSweepRepresentatives(reps)
+        .WithShardedGrouping(ShardedOptions(group, shards))
+        .Build();
+  };
 
   // shards = 1 through the full pipeline: identical to the unwrapped engine.
   const auto expect = plain->Run(db, RunContext{});
   ASSERT_TRUE(expect.ok());
-  RunContext ctx;
-  ctx.shards = 1;
-  const auto transparent = wrapped->Run(db, ctx);
+  const auto s1 = wrapped(1);
+  ASSERT_TRUE(s1.ok()) << s1.status().ToString();
+  const auto transparent = s1->Run(db, RunContext{});
   ASSERT_TRUE(transparent.ok());
   ExpectSameClustering(transparent->clustering, expect->clustering);
 
   // A sharded full-pipeline run completes with a well-formed label domain.
-  ctx.shards = 4;
-  const auto got = wrapped->Run(db, ctx);
+  const auto s4 = wrapped(4);
+  ASSERT_TRUE(s4.ok()) << s4.status().ToString();
+  const auto got = s4->Run(db, RunContext{});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ(got->clustering.labels.size(), expect->clustering.labels.size());
   size_t noise = 0;

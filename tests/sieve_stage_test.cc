@@ -27,7 +27,7 @@ const traj::SegmentStore& HurricaneStore() {
   static const traj::SegmentStore* store = [] {
     const traj::TrajectoryDatabase db =
         datagen::GenerateHurricanes(datagen::HurricaneConfig{});
-    auto engine = TraclusEngine::FromConfig(TraclusConfig{});
+    auto engine = TraclusEngine::Builder().Build();
     EXPECT_TRUE(engine.ok());
     auto partitioned = engine->Partition(db);
     EXPECT_TRUE(partitioned.ok());
@@ -43,12 +43,20 @@ DbscanGroupOptions HurricaneGroupOptions() {
   return options;
 }
 
-SieveGroupStage MakeSieveStage() {
+SieveGroupOptions HurricaneSieveOptions(size_t k, size_t offset = 0) {
   const DbscanGroupOptions group = HurricaneGroupOptions();
   SieveGroupOptions sieve;
+  sieve.k = k;
+  sieve.offset = offset;
   sieve.eps = group.eps;
   sieve.distance = group.distance;
-  return SieveGroupStage(std::make_shared<DbscanGroupStage>(group), sieve);
+  return sieve;
+}
+
+SieveGroupStage MakeSieveStage(size_t k, size_t offset = 0) {
+  return SieveGroupStage(
+      std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()),
+      HurricaneSieveOptions(k, offset));
 }
 
 void ExpectSameClustering(const cluster::ClusteringResult& a,
@@ -63,7 +71,7 @@ void ExpectSameClustering(const cluster::ClusteringResult& a,
 }
 
 TEST(SieveStageTest, NameAndValidate) {
-  const SieveGroupStage stage = MakeSieveStage();
+  const SieveGroupStage stage = MakeSieveStage(4);
   EXPECT_STREQ(stage.name(), "group/sieve+dbscan");
   EXPECT_TRUE(stage.Validate().ok());
 }
@@ -71,13 +79,10 @@ TEST(SieveStageTest, NameAndValidate) {
 TEST(SieveStageTest, SieveDisabledIsInnerBackendByteForByte) {
   const traj::SegmentStore& store = HurricaneStore();
   const DbscanGroupStage inner(HurricaneGroupOptions());
-  const SieveGroupStage stage = MakeSieveStage();
   const auto expect = inner.Run(store, RunContext{});
   ASSERT_TRUE(expect.ok());
   for (const size_t k : {size_t{0}, size_t{1}}) {
-    RunContext ctx;
-    ctx.sieve = k;
-    const auto got = stage.Run(store, ctx);
+    const auto got = MakeSieveStage(k).Run(store, RunContext{});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectSameClustering(*got, *expect);
   }
@@ -85,10 +90,9 @@ TEST(SieveStageTest, SieveDisabledIsInnerBackendByteForByte) {
 
 TEST(SieveStageTest, DeterministicAcrossThreadsAndKernels) {
   const traj::SegmentStore& store = HurricaneStore();
-  const SieveGroupStage stage = MakeSieveStage();
   for (const size_t k : {size_t{2}, size_t{3}}) {
+    const SieveGroupStage stage = MakeSieveStage(k);
     RunContext base_ctx;
-    base_ctx.sieve = k;
     base_ctx.num_threads = 1;
     base_ctx.distance_kernel = distance::BatchKernel::kScalar;
     const auto reference = stage.Run(store, base_ctx);
@@ -98,7 +102,6 @@ TEST(SieveStageTest, DeterministicAcrossThreadsAndKernels) {
            {distance::BatchKernel::kScalar, distance::BatchKernel::kSimd,
             distance::BatchKernel::kAuto}) {
         RunContext ctx;
-        ctx.sieve = k;
         ctx.num_threads = threads;
         ctx.distance_kernel = kernel;
         const auto got = stage.Run(store, ctx);
@@ -111,10 +114,7 @@ TEST(SieveStageTest, DeterministicAcrossThreadsAndKernels) {
 
 TEST(SieveStageTest, SampledSegmentsKeepInnerLabelsAndOffsetsDiffer) {
   const traj::SegmentStore& store = HurricaneStore();
-  const SieveGroupStage stage = MakeSieveStage();
-  RunContext ctx;
-  ctx.sieve = 4;
-  const auto a = stage.Run(store, ctx);
+  const auto a = MakeSieveStage(4).Run(store, RunContext{});
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->labels.size(), store.size());
   // Every label is a dense cluster id or noise — never unclassified.
@@ -133,68 +133,9 @@ TEST(SieveStageTest, SampledSegmentsKeepInnerLabelsAndOffsetsDiffer) {
   }
   // A different residue class samples a different subset — the runs are both
   // deterministic but (on real data) not identical.
-  ctx.sieve_offset = 1;
-  const auto b = stage.Run(store, ctx);
+  const auto b = MakeSieveStage(4, /*offset=*/1).Run(store, RunContext{});
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->labels, b->labels);
-}
-
-TEST(SieveStageTest, ChooseSieveKSpansTheStrideRange) {
-  // Disabled and degenerate inputs run the inner backend in full.
-  EXPECT_EQ(ChooseSieveK(1000, 0), 1u);
-  EXPECT_EQ(ChooseSieveK(0, 100), 1u);
-  EXPECT_EQ(ChooseSieveK(100, 100), 1u);
-  EXPECT_EQ(ChooseSieveK(99, 100), 1u);
-  // k = ceil(n / target) across the whole useful stride range.
-  const size_t n = 1600;
-  for (size_t k = 1; k <= 16; ++k) {
-    const size_t target = (n + k - 1) / k;
-    EXPECT_EQ(ChooseSieveK(n, target), k) << "target " << target;
-  }
-  // Non-divisible sizes round the stride up, never down: the sample is at
-  // most the target, never above it.
-  EXPECT_EQ(ChooseSieveK(1601, 100), 17u);
-  EXPECT_EQ(ChooseSieveK(1599, 100), 16u);
-  for (const size_t target : {size_t{1}, size_t{7}, size_t{100}}) {
-    const size_t k = ChooseSieveK(n, target);
-    EXPECT_LE((n + k - 1) / k, target);
-  }
-}
-
-TEST(SieveStageTest, AutoKMatchesExplicitStrideAndIsOverridable) {
-  const traj::SegmentStore& store = HurricaneStore();
-  const DbscanGroupOptions group = HurricaneGroupOptions();
-  SieveGroupOptions sieve;
-  sieve.eps = group.eps;
-  sieve.distance = group.distance;
-  // Target half the store: AutoK derives k = 2.
-  sieve.auto_k.target_sample = (store.size() + 1) / 2;
-  ASSERT_EQ(ChooseSieveK(store.size(), sieve.auto_k.target_sample), 2u);
-  const SieveGroupStage auto_stage(
-      std::make_shared<DbscanGroupStage>(group), sieve);
-  ASSERT_TRUE(auto_stage.Validate().ok());
-
-  const SieveGroupStage explicit_stage = MakeSieveStage();
-  RunContext explicit_ctx;
-  explicit_ctx.sieve = 2;
-  const auto expect = explicit_stage.Run(store, explicit_ctx);
-  ASSERT_TRUE(expect.ok());
-
-  // AutoK with the context knob left at 0 equals the explicit stride run.
-  const auto got = auto_stage.Run(store, RunContext{});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSameClustering(*got, *expect);
-
-  // An explicit per-run stride overrides AutoK; sieve = 1 forces the full
-  // inner run.
-  const DbscanGroupStage inner(group);
-  const auto full = inner.Run(store, RunContext{});
-  ASSERT_TRUE(full.ok());
-  RunContext override_ctx;
-  override_ctx.sieve = 1;
-  const auto forced = auto_stage.Run(store, override_ctx);
-  ASSERT_TRUE(forced.ok());
-  ExpectSameClustering(*forced, *full);
 }
 
 TEST(SieveStageTest, ValidateRejectsBadConfigurations) {
@@ -231,9 +172,6 @@ TEST(SieveStageTest, BuilderWiresSieveAndFullPipelineRuns) {
   const traj::TrajectoryDatabase db =
       datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   const DbscanGroupOptions group = HurricaneGroupOptions();
-  SieveGroupOptions sieve;
-  sieve.eps = group.eps;
-  sieve.distance = group.distance;
   SweepRepresentativeOptions reps;
   reps.min_lns = group.min_lns;
   const auto plain = TraclusEngine::Builder()
@@ -242,21 +180,23 @@ TEST(SieveStageTest, BuilderWiresSieveAndFullPipelineRuns) {
                          .UseSweepRepresentatives(reps)
                          .Build();
   ASSERT_TRUE(plain.ok());
-  const auto wrapped = TraclusEngine::Builder()
-                           .UseMdlPartitioning()
-                           .UseDbscanGrouping(group)
-                           .UseSweepRepresentatives(reps)
-                           .WithSieveGrouping(sieve)
-                           .Build();
-  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  // One engine per stride.
+  const auto wrapped = [&](size_t k) {
+    return TraclusEngine::Builder()
+        .UseMdlPartitioning()
+        .UseDbscanGrouping(group)
+        .UseSweepRepresentatives(reps)
+        .WithSieveGrouping(HurricaneSieveOptions(k))
+        .Build();
+  };
 
   // k = 1 through the full pipeline: identical to the unwrapped engine —
   // clustering and representatives both.
-  RunContext ctx;
-  ctx.sieve = 1;
   const auto expect = plain->Run(db, RunContext{});
   ASSERT_TRUE(expect.ok());
-  const auto got = wrapped->Run(db, ctx);
+  const auto k1 = wrapped(1);
+  ASSERT_TRUE(k1.ok()) << k1.status().ToString();
+  const auto got = k1->Run(db, RunContext{});
   ASSERT_TRUE(got.ok());
   ExpectSameClustering(got->clustering, expect->clustering);
   ASSERT_EQ(got->representatives.size(), expect->representatives.size());
@@ -269,8 +209,9 @@ TEST(SieveStageTest, BuilderWiresSieveAndFullPipelineRuns) {
   }
 
   // A sieved run completes and keeps the label domain well-formed.
-  ctx.sieve = 4;
-  const auto sieved = wrapped->Run(db, ctx);
+  const auto k4 = wrapped(4);
+  ASSERT_TRUE(k4.ok()) << k4.status().ToString();
+  const auto sieved = k4->Run(db, RunContext{});
   ASSERT_TRUE(sieved.ok()) << sieved.status().ToString();
   EXPECT_EQ(sieved->clustering.labels.size(), expect->clustering.labels.size());
 
@@ -280,7 +221,7 @@ TEST(SieveStageTest, BuilderWiresSieveAndFullPipelineRuns) {
   const auto no_inner = TraclusEngine::Builder()
                             .UseMdlPartitioning()
                             .SetGroupStage(nullptr)
-                            .WithSieveGrouping(sieve)
+                            .WithSieveGrouping(HurricaneSieveOptions(4))
                             .Build();
   EXPECT_FALSE(no_inner.ok());
 }

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -68,6 +70,55 @@ common::Result<TraclusResult> RunPipeline(const GoldenCase& c,
 
 std::string SnapshotPath(const std::string& name) {
   return ::testing::TempDir() + "snapshot_test_" + name + ".snap";
+}
+
+// A snapshot of a few dozen segments (five hurricanes at MinLns = 2) with
+// clusters and representatives, small enough for exhaustive file sweeps.
+const ClusterSnapshot& SmallSnapshot() {
+  static const ClusterSnapshot* snapshot = [] {
+    datagen::HurricaneConfig gen;
+    gen.num_trajectories = 5;
+    const GoldenCase c = {"small", datagen::GenerateHurricanes(gen), 0.94,
+                          2.0};
+    SnapshotParams params;
+    const auto run = RunPipeline(c, &params);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    auto built = ClusterSnapshot::FromResult(*run, params);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return std::move(built).ValueOrDie().release();
+  }();
+  return *snapshot;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+template <typename T>
+std::string Patched(std::string bytes, size_t offset, T value) {
+  EXPECT_LE(offset + sizeof(value), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+// Writes `bytes` to `path` and loads it back: the load must fail with a
+// typed status — IOError for a short file, InvalidArgument for a corrupt
+// one — and never crash.
+common::StatusCode LoadFailureCode(const std::string& path,
+                                   const std::string& bytes) {
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto loaded = ClusterSnapshot::Load(path);
+  EXPECT_FALSE(loaded.ok());
+  if (loaded.ok()) return common::StatusCode::kOk;
+  const common::StatusCode code = loaded.status().code();
+  EXPECT_TRUE(code == common::StatusCode::kIOError ||
+              code == common::StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+  return code;
 }
 
 void ExpectSameAssignment(const common::Span<const int> a_labels,
@@ -284,6 +335,113 @@ TEST(ClusterSnapshotTest, LoadFailsWithTypedStatusOnBadFiles) {
   bad_eps.eps = 0.0;
   EXPECT_EQ(ClusterSnapshot::FromResult(*run, bad_eps).status().code(),
             common::StatusCode::kInvalidArgument);
+
+  // The exhaustive cases run on a small snapshot.
+  const ClusterSnapshot& small = SmallSnapshot();
+  const size_t n = small.store().size();
+  ASSERT_GE(n, 24u);
+  ASSERT_LE(n, 96u);
+  ASSERT_FALSE(small.clustering().clusters.empty());
+  ASSERT_EQ(small.representatives().size(),
+            small.clustering().clusters.size());
+  const std::string small_path = SnapshotPath("bad_files_small");
+  ASSERT_TRUE(small.Save(small_path).ok());
+  const std::string good = ReadBytes(small_path);
+
+  // Every proper prefix of the file is a typed failure.
+  for (size_t size = 0; size < good.size(); ++size) {
+    SCOPED_TRACE(testing::Message() << "truncated to " << size << " bytes");
+    LoadFailureCode(small_path, good.substr(0, size));
+  }
+
+  // Offsets of the count fields (format v1, snapshot.h): n at byte 72, then
+  // n segment records, the cluster count, each cluster's id + member count +
+  // members, n int32 labels, the noise count, the representative count, and
+  // per representative id + weight + label length + label + point count.
+  const size_t dims = static_cast<size_t>(small.store().dims());
+  const size_t n_at = 72;
+  const size_t clusters_at = 88 + n * 8 * (3 + 2 * dims);
+  const size_t first_members_at = clusters_at + 16;
+  size_t labels_at = clusters_at + 8;
+  for (const cluster::Cluster& c : small.clustering().clusters) {
+    labels_at += 16 + 8 * c.member_indices.size();
+  }
+  const size_t noise_at = labels_at + 4 * n;
+  const size_t first_points_at =
+      noise_at + 8 + 8 + 24 + small.representatives()[0].label().size();
+  ASSERT_EQ(Patched<uint64_t>(good, n_at, n), good);
+  ASSERT_EQ(Patched<uint64_t>(good, first_points_at,
+                              small.representatives()[0].size()),
+            good);
+
+  // Each count field set to 2^60: rejected before anything is sized by it.
+  for (const size_t at : {n_at, clusters_at, first_members_at,
+                          first_points_at}) {
+    SCOPED_TRACE(testing::Message() << "count at byte " << at);
+    LoadFailureCode(small_path,
+                    Patched<uint64_t>(good, at, uint64_t{1} << 60));
+  }
+
+  // Labels that disagree with the member lists: a label naming no cluster,
+  // a clustered segment relabelled noise, and a miscounted noise total.
+  const size_t member = small.clustering().clusters[0].member_indices[0];
+  EXPECT_EQ(LoadFailureCode(small_path,
+                            Patched<int32_t>(good, labels_at + 4 * member,
+                                             7777)),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadFailureCode(small_path,
+                            Patched<int32_t>(good, labels_at + 4 * member,
+                                             cluster::kNoise)),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadFailureCode(small_path,
+                            Patched<uint64_t>(good, noise_at,
+                                              small.clustering().num_noise +
+                                                  1)),
+            common::StatusCode::kInvalidArgument);
+  // A cluster id that is not its index.
+  EXPECT_EQ(LoadFailureCode(small_path,
+                            Patched<int64_t>(good, clusters_at + 8, 7)),
+            common::StatusCode::kInvalidArgument);
+
+  // The untouched bytes still load.
+  {
+    std::ofstream f(small_path, std::ios::binary | std::ios::trunc);
+    f.write(good.data(), static_cast<std::streamsize>(good.size()));
+  }
+  EXPECT_TRUE(ClusterSnapshot::Load(small_path).ok());
+}
+
+// Two threads saving one snapshot to one path at once (the TSan lane runs
+// this test): each writer has its own temp file, so both succeed and the
+// path always holds one complete, loadable file.
+TEST(ClusterSnapshotTest, ConcurrentSavesToOnePathInstallACompleteFile) {
+  const ClusterSnapshot& snapshot = SmallSnapshot();
+  const std::string dir = ::testing::TempDir() + "snapshot_test_saves";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/shared.snap";
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<common::Status> status(2, common::Status::OK());
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < 2; ++w) {
+      writers.emplace_back([&, w] { status[w] = snapshot.Save(path); });
+    }
+    for (std::thread& t : writers) t.join();
+    for (size_t w = 0; w < 2; ++w) {
+      ASSERT_TRUE(status[w].ok()) << "trial " << trial << " writer " << w
+                                  << ": " << status[w].ToString();
+    }
+    const auto loaded = ClusterSnapshot::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->clustering().labels, snapshot.clustering().labels);
+    // No temp file is left behind.
+    size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      (void)entry;
+      ++files;
+    }
+    EXPECT_EQ(files, 1u) << "trial " << trial;
+  }
 }
 
 // Concurrent serving: many threads assigning through one snapshot while the

@@ -161,15 +161,23 @@ void ExpectMatchesGolden(const TraclusResult& run, const GoldenRun& golden) {
   }
 }
 
-TraclusEngine HurricaneEngine(int threads) {
-  TraclusConfig config;
-  config.eps = 0.94;
-  config.min_lns = 5;
-  config.num_threads = threads;
-  auto engine = TraclusEngine::FromConfig(config);
+// The default assembly at (ε, MinLns), sweeping at the clustering MinLns.
+TraclusEngine DbscanEngine(double eps, double min_lns) {
+  DbscanGroupOptions group;
+  group.eps = eps;
+  group.min_lns = min_lns;
+  SweepRepresentativeOptions reps;
+  reps.min_lns = min_lns;
+  auto engine = TraclusEngine::Builder()
+                    .UseDbscanGrouping(group)
+                    .UseSweepRepresentatives(reps)
+                    .Build();
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).ValueOrDie();
 }
+
+// The golden hurricane configuration (ε = 0.94, MinLns = 5).
+TraclusEngine HurricaneEngine() { return DbscanEngine(0.94, 5); }
 
 // ---------------------------------------------------------------------------
 // The golden matrix: chunk capacity × threads × kernel, all byte-identical
@@ -188,9 +196,10 @@ TEST(StreamingGoldenTest, MatchesGoldenAcrossChunkThreadAndKernelMatrix) {
         SCOPED_TRACE(testing::Message()
                      << "chunk " << chunk << " threads " << threads
                      << " kernel " << static_cast<int>(kernel));
-        const TraclusEngine engine = HurricaneEngine(threads);
+        const TraclusEngine engine = HurricaneEngine();
         traj::DatabaseSource source(db);
         RunContext ctx;
+        ctx.num_threads = threads;
         ctx.chunk_capacity = chunk;
         ctx.distance_kernel = kernel;
         const auto run = engine.Run(source, ctx);
@@ -209,9 +218,10 @@ TEST(StreamingGoldenTest, CappedOutOfCoreRunMatchesGolden) {
 
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
-    const TraclusEngine engine = HurricaneEngine(threads);
+    const TraclusEngine engine = HurricaneEngine();
     traj::DatabaseSource source(db);
     RunContext ctx;
+    ctx.num_threads = threads;
     // Many more chunks than the residency cap: the database cannot fit in
     // the reader cache, so grouping must genuinely run out-of-core.
     ctx.chunk_capacity = 64;
@@ -263,11 +273,7 @@ TEST(StreamingRunTest, PreCancelledTokenStopsBeforeIngest) {
 TEST(StreamingRunTest, ProgressBracketsEveryStageOnce) {
   // Block-wise ingest must not spam per-block partition events: each stage
   // reports a single 0.0 → ... → 1.0 bracket, exactly like the eager run.
-  TraclusConfig config;
-  config.eps = 0.94;
-  config.min_lns = 5;
-  const auto engine = TraclusEngine::FromConfig(config);
-  ASSERT_TRUE(engine.ok());
+  const TraclusEngine engine = HurricaneEngine();
   datagen::HurricaneConfig gen;
   gen.num_trajectories = 600;  // > one ingest block.
   const auto db = datagen::GenerateHurricanes(gen);
@@ -279,7 +285,7 @@ TEST(StreamingRunTest, ProgressBracketsEveryStageOnce) {
   ctx.progress = [&](const std::string& stage, double fraction) {
     events.emplace_back(stage, fraction);
   };
-  const auto run = engine->Run(source, ctx);
+  const auto run = engine.Run(source, ctx);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   const std::vector<std::string> expected_order = {
@@ -289,7 +295,9 @@ TEST(StreamingRunTest, ProgressBracketsEveryStageOnce) {
   double last_fraction = 0.0;
   for (const auto& [stage, fraction] : events) {
     if (stage != current) {
-      if (!current.empty()) EXPECT_EQ(last_fraction, 1.0) << current;
+      if (!current.empty()) {
+        EXPECT_EQ(last_fraction, 1.0) << current;
+      }
       ASSERT_LT(order_pos, expected_order.size());
       EXPECT_EQ(stage, expected_order[order_pos++]);
       EXPECT_EQ(fraction, 0.0) << stage;
@@ -312,21 +320,17 @@ TEST(StreamingRunTest, CsvSourceStreamsStraightIntoThePipeline) {
       csv << t << "," << p << "," << 0.05 * t + ((p % 3) - 1) * 0.01 << "\n";
     }
   }
-  TraclusConfig config;
-  config.eps = 0.5;
-  config.min_lns = 3;
-  const auto engine = TraclusEngine::FromConfig(config);
-  ASSERT_TRUE(engine.ok());
+  const TraclusEngine engine = DbscanEngine(0.5, 3);
 
   const auto eager_db = traj::ParseCsv(csv.str());
   ASSERT_TRUE(eager_db.ok()) << eager_db.status().ToString();
-  const auto eager = engine->Run(*eager_db);
+  const auto eager = engine.Run(*eager_db);
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
 
   traj::CsvStringSource source(csv.str());
   RunContext ctx;
   ctx.chunk_capacity = 5;
-  const auto streamed = engine->Run(source, ctx);
+  const auto streamed = engine.Run(source, ctx);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
 
   ASSERT_EQ(streamed->store.size(), eager->store.size());

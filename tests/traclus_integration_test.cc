@@ -18,17 +18,32 @@ namespace {
 
 using geom::Point;
 
-TraclusConfig Fig1Config() {
-  TraclusConfig cfg;
-  cfg.eps = 10.0;
-  cfg.min_lns = 3;
-  return cfg;
+DbscanGroupOptions GroupOptions(double eps, double min_lns) {
+  DbscanGroupOptions group;
+  group.eps = eps;
+  group.min_lns = min_lns;
+  return group;
+}
+
+// The DBSCAN assembly over `group`, sweeping at its MinLns (the paper's
+// choice) with its weighting.
+TraclusEngine::Builder Assembly(const DbscanGroupOptions& group) {
+  SweepRepresentativeOptions reps;
+  reps.min_lns = group.min_lns;
+  reps.use_weights = group.use_weights;
+  TraclusEngine::Builder builder;
+  builder.UseDbscanGrouping(group).UseSweepRepresentatives(reps);
+  return builder;
+}
+
+TraclusEngine::Builder Fig1Assembly() {
+  return Assembly(GroupOptions(10.0, 3));
 }
 
 // Engine run helper: these tests hardcode valid configs / non-empty inputs.
-TraclusResult RunConfig(const TraclusConfig& cfg,
+TraclusResult RunEngine(const TraclusEngine::Builder& builder,
                         const traj::TrajectoryDatabase& db) {
-  auto engine = TraclusEngine::FromConfig(cfg);
+  auto engine = builder.Build();
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   auto result = engine->Run(db);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -39,7 +54,7 @@ TEST(TraclusIntegrationTest, DiscoversCommonSubTrajectoryOfFig1) {
   const auto db =
       datagen::GenerateCommonSubTrajectory(
           datagen::CommonSubTrajectoryConfig{});
-  const TraclusResult result = RunConfig(Fig1Config(), db);
+  const TraclusResult result = RunEngine(Fig1Assembly(), db);
 
   // Exactly one cluster: the shared corridor. The divergent branches are noise.
   ASSERT_EQ(result.clustering.clusters.size(), 1u);
@@ -88,10 +103,8 @@ TEST(TraclusIntegrationTest, RobustToNoiseTrajectories) {
   cfg.num_planted_corridors = 4;
   const auto db = datagen::GenerateNoisy(cfg);
 
-  TraclusConfig tcfg;
-  tcfg.eps = 3.0;  // Corridors are ~20 apart; larger ε lets noise bridge them.
-  tcfg.min_lns = 8;
-  const TraclusResult result = RunConfig(tcfg, db);
+  // ε = 3: corridors are ~20 apart; a larger ε lets noise bridge them.
+  const TraclusResult result = RunEngine(Assembly(GroupOptions(3.0, 8)), db);
   EXPECT_EQ(result.clustering.clusters.size(), 4u)
       << "all four planted corridors should be recovered";
   EXPECT_GT(result.clustering.num_noise, 0u);
@@ -101,15 +114,13 @@ TEST(TraclusIntegrationTest, IndexAndBruteForceAgreeEndToEnd) {
   datagen::NoisyConfig cfg;
   cfg.num_trajectories = 60;
   const auto db = datagen::GenerateNoisy(cfg);
-  TraclusConfig with_index;
-  with_index.eps = 4.0;
-  with_index.min_lns = 6;
+  DbscanGroupOptions with_index = GroupOptions(4.0, 6);
   with_index.use_index = true;
-  TraclusConfig without_index = with_index;
+  DbscanGroupOptions without_index = with_index;
   without_index.use_index = false;
 
-  const auto a = RunConfig(with_index, db);
-  const auto b = RunConfig(without_index, db);
+  const auto a = RunEngine(Assembly(with_index), db);
+  const auto b = RunEngine(Assembly(without_index), db);
   EXPECT_EQ(a.clustering.labels, b.clustering.labels);
   ASSERT_EQ(a.representatives.size(), b.representatives.size());
   for (size_t i = 0; i < a.representatives.size(); ++i) {
@@ -124,7 +135,7 @@ TEST(TraclusIntegrationTest, PartitionPhaseAccumulatesAllTrajectories) {
   const auto db =
       datagen::GenerateCommonSubTrajectory(
           datagen::CommonSubTrajectoryConfig{});
-  auto engine = TraclusEngine::FromConfig(Fig1Config());
+  auto engine = Fig1Assembly().Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   auto partitioned = engine->Partition(db);
   ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
@@ -148,9 +159,11 @@ TEST(TraclusIntegrationTest, OptimalPartitioningConfigRuns) {
   datagen::CommonSubTrajectoryConfig gen;
   gen.num_trajectories = 4;
   const auto db = datagen::GenerateCommonSubTrajectory(gen);
-  TraclusConfig cfg = Fig1Config();
-  cfg.partitioning_algorithm = PartitioningAlgorithm::kOptimalMdl;
-  const auto result = RunConfig(cfg, db);
+  MdlPartitionOptions partition;
+  partition.variant = MdlVariant::kOptimal;
+  TraclusEngine::Builder builder = Fig1Assembly();
+  builder.UseMdlPartitioning(partition);
+  const auto result = RunEngine(builder, db);
   EXPECT_FALSE(result.segments().empty());
 }
 
@@ -163,15 +176,13 @@ TEST(TraclusIntegrationTest, WeightedTrajectoriesChangeDensity) {
     for (int k = 0; k <= 20; ++k) tr.Add(Point(10.0 * k, 0.2 * i));
     db.Add(std::move(tr));
   }
-  TraclusConfig cfg;
-  cfg.eps = 2.0;
-  cfg.min_lns = 5;
-  cfg.min_trajectory_cardinality = 2;
-  const auto unweighted = RunConfig(cfg, db);
+  DbscanGroupOptions group = GroupOptions(2.0, 5);
+  group.min_trajectory_cardinality = 2;
+  const auto unweighted = RunEngine(Assembly(group), db);
   EXPECT_TRUE(unweighted.clustering.clusters.empty());
 
-  cfg.use_weights = true;
-  const auto weighted = RunConfig(cfg, db);
+  group.use_weights = true;
+  const auto weighted = RunEngine(Assembly(group), db);
   EXPECT_EQ(weighted.clustering.clusters.size(), 1u);
 }
 
@@ -189,14 +200,12 @@ TEST(TraclusIntegrationTest, UndirectedDistanceMergesOpposingFlows) {
     for (int k = 20; k >= 0; --k) tr.Add(Point(10.0 * k, 0.1 * i));
     db.Add(std::move(tr));
   }
-  TraclusConfig cfg;
-  cfg.eps = 2.0;
-  cfg.min_lns = 3;
-  const auto directed = RunConfig(cfg, db);
+  DbscanGroupOptions group = GroupOptions(2.0, 3);
+  const auto directed = RunEngine(Assembly(group), db);
   EXPECT_EQ(directed.clustering.clusters.size(), 2u);
 
-  cfg.distance.directed = false;
-  const auto undirected = RunConfig(cfg, db);
+  group.distance.directed = false;
+  const auto undirected = RunEngine(Assembly(group), db);
   EXPECT_EQ(undirected.clustering.clusters.size(), 1u);
 }
 
@@ -204,11 +213,9 @@ TEST(TraclusIntegrationTest, QMeasureIsComputableOnPipelineOutput) {
   datagen::NoisyConfig gen;
   gen.num_trajectories = 40;
   const auto db = datagen::GenerateNoisy(gen);
-  TraclusConfig cfg;
-  cfg.eps = 4.0;
-  cfg.min_lns = 5;
-  const auto result = RunConfig(cfg, db);
-  const distance::SegmentDistance dist(cfg.distance);
+  const DbscanGroupOptions group = GroupOptions(4.0, 5);
+  const auto result = RunEngine(Assembly(group), db);
+  const distance::SegmentDistance dist(group.distance);
   const auto q =
       eval::ComputeQMeasure(result.segments(), result.clustering, dist);
   EXPECT_GE(q.total_sse, 0.0);
@@ -223,16 +230,13 @@ TEST(TraclusIntegrationTest, DeterministicEndToEnd) {
   datagen::NoisyConfig gen;
   gen.num_trajectories = 50;
   const auto db = datagen::GenerateNoisy(gen);
-  TraclusConfig cfg;
-  cfg.eps = 4.0;
-  cfg.min_lns = 5;
-  const auto a = RunConfig(cfg, db);
-  const auto b = RunConfig(cfg, db);
+  const auto a = RunEngine(Assembly(GroupOptions(4.0, 5)), db);
+  const auto b = RunEngine(Assembly(GroupOptions(4.0, 5)), db);
   EXPECT_EQ(a.clustering.labels, b.clustering.labels);
 }
 
 TEST(TraclusIntegrationTest, EmptyAndDegenerateInputs) {
-  auto engine = TraclusEngine::FromConfig(Fig1Config());
+  auto engine = Fig1Assembly().Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // An empty database is a typed precondition failure, not a crash.

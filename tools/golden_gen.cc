@@ -23,9 +23,18 @@ namespace {
 
 using namespace traclus;
 
-bool WriteGolden(const std::string& path, const core::TraclusConfig& config,
+// The default assembly at (ε, MinLns), sweeping at the clustering MinLns.
+bool WriteGolden(const std::string& path, double eps, double min_lns,
                  const traj::TrajectoryDatabase& db) {
-  const auto engine = core::TraclusEngine::FromConfig(config);
+  core::DbscanGroupOptions group;
+  group.eps = eps;
+  group.min_lns = min_lns;
+  core::SweepRepresentativeOptions reps;
+  reps.min_lns = min_lns;
+  const auto engine = core::TraclusEngine::Builder()
+                          .UseDbscanGrouping(group)
+                          .UseSweepRepresentatives(reps)
+                          .Build();
   if (!engine.ok()) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
     return false;
@@ -92,18 +101,11 @@ int main(int argc, char** argv) {
   }
   const std::string dir = argv[1];
 
-  core::TraclusConfig hurricane;
-  hurricane.eps = 0.94;
-  hurricane.min_lns = 5;
-  if (!WriteGolden(dir + "/hurricane_default.golden", hurricane,
+  if (!WriteGolden(dir + "/hurricane_default.golden", 0.94, 5,
                    datagen::GenerateHurricanes(datagen::HurricaneConfig{}))) {
     return 2;
   }
-
-  core::TraclusConfig deer;
-  deer.eps = 1.8;
-  deer.min_lns = 8;
-  if (!WriteGolden(dir + "/deer_default.golden", deer,
+  if (!WriteGolden(dir + "/deer_default.golden", 1.8, 8,
                    datagen::GenerateAnimals(datagen::Deer1995Config()))) {
     return 2;
   }

@@ -25,9 +25,13 @@
 // statuses (printed, exit 1), IO/runtime failures as statuses too (exit 2),
 // and --progress streams per-stage progress from the engine's RunContext.
 //
-// Exit code 0 on success, 1 on usage/configuration errors, 2 on IO/parse
-// errors.
+// Exit code 0 on success, 1 on usage/configuration errors (an unknown flag,
+// a partial number, a negative count), 2 on IO/parse errors.
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -54,15 +59,42 @@ namespace {
 
 using namespace traclus;
 
-// Minimal flag parser: positional args plus --key value / --switch flags.
+// How a flag's value is read. Every numeric kind must parse completely
+// (no trailing characters) or the command is a usage error.
+enum class FlagKind {
+  kSwitch,  ///< --name, no value.
+  kString,  ///< --name VALUE, any text.
+  kReal,    ///< --name X, a floating-point number.
+  kCount,   ///< --name N, a non-negative integer.
+  kInt,     ///< --name N, an integer of either sign (--threads: ≤ 0 = all).
+};
+using FlagSpec = std::map<std::string, FlagKind>;
+
+// Positional args plus the validated --key value / --switch flags of one
+// command. The numeric getters re-read values that Parse already checked.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
-  std::map<std::string, bool> switches;
+  std::set<std::string> switches;
 
+  bool Has(const std::string& key) const { return options.count(key) > 0; }
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
+    return it == options.end() ? fallback
+                               : std::strtod(it->second.c_str(), nullptr);
+  }
+  size_t GetCount(const std::string& key, size_t fallback) const {
+    const auto it = options.find(key);
+    return it == options.end()
+               ? fallback
+               : static_cast<size_t>(
+                     std::strtoull(it->second.c_str(), nullptr, 10));
+  }
+  int GetInt(const std::string& key, int fallback) const {
+    const auto it = options.find(key);
+    return it == options.end()
+               ? fallback
+               : static_cast<int>(std::strtol(it->second.c_str(), nullptr, 10));
   }
   std::string GetString(const std::string& key,
                         const std::string& fallback = "") const {
@@ -70,30 +102,79 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
   bool GetSwitch(const std::string& key) const {
-    const auto it = switches.find(key);
-    return it != switches.end() && it->second;
+    return switches.count(key) > 0;
   }
 };
 
-Args Parse(int argc, char** argv, const std::vector<std::string>& value_flags) {
-  Args args;
+// True when `value` is a complete number of `kind`: no leading blank, no
+// trailing characters, no overflow; a count also has no sign.
+bool ValidNumber(const std::string& value, FlagKind kind) {
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  switch (kind) {
+    case FlagKind::kReal:
+      std::strtod(value.c_str(), &end);
+      break;
+    case FlagKind::kCount:
+      if (!std::isdigit(static_cast<unsigned char>(value[0]))) return false;
+      std::strtoull(value.c_str(), &end, 10);
+      break;
+    case FlagKind::kInt: {
+      const long v = std::strtol(value.c_str(), &end, 10);
+      if (v < INT_MIN || v > INT_MAX) return false;
+      break;
+    }
+    default:
+      return true;
+  }
+  return *end == '\0' && errno != ERANGE;
+}
+
+// Parses argv against the command's flag table. An unknown flag, a value
+// flag without its value, or a malformed number is a usage error: it is
+// named on stderr and Parse returns false.
+bool Parse(int argc, char** argv, const std::string& command,
+           const FlagSpec& spec, Args* args) {
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string key = a.substr(2);
-      const bool takes_value =
-          std::find(value_flags.begin(), value_flags.end(), key) !=
-          value_flags.end();
-      if (takes_value && i + 1 < argc) {
-        args.options[key] = argv[++i];
-      } else {
-        args.switches[key] = true;
-      }
-    } else {
-      args.positional.push_back(a);
+    if (a.rfind("--", 0) != 0) {
+      args->positional.push_back(a);
+      continue;
     }
+    const std::string key = a.substr(2);
+    const auto it = spec.find(key);
+    if (it == spec.end()) {
+      std::fprintf(stderr, "traclus %s: unknown flag '%s'\n", command.c_str(),
+                   a.c_str());
+      return false;
+    }
+    if (it->second == FlagKind::kSwitch) {
+      args->switches.insert(key);
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "traclus %s: %s needs a value\n", command.c_str(),
+                   a.c_str());
+      return false;
+    }
+    const std::string value = argv[++i];
+    if (!ValidNumber(value, it->second)) {
+      std::fprintf(stderr, "traclus %s: %s expects %s, got '%s'\n",
+                   command.c_str(), a.c_str(),
+                   it->second == FlagKind::kReal
+                       ? "a number"
+                       : it->second == FlagKind::kCount
+                             ? "a non-negative integer"
+                             : "an integer",
+                   value.c_str());
+      return false;
+    }
+    args->options[key] = value;
   }
-  return args;
+  return true;
 }
 
 int Usage() {
@@ -116,9 +197,11 @@ int Usage() {
       "  assign <snapshot> <in.csv> [--threads N] [--kernel auto|scalar|simd]\n"
       "         [--labels out.csv]\n"
       "\n"
-      "  Every <in.csv> may be '-' to read CSV from standard input.\n"
+      "  Every <in.csv> may be '-' to read CSV from standard input. A flag\n"
+      "  the command does not take, or a number with trailing characters,\n"
+      "  is a usage error (exit 1).\n"
       "\n"
-      "  --threads N: worker threads for the parallel phases; 0 = all\n"
+      "  --threads N: worker threads for the parallel phases; <= 0 = all\n"
       "               hardware threads, 1 = single-threaded. Output is\n"
       "               identical for every value.\n"
       "  --kernel K:  batch distance kernel (auto, scalar, simd). The\n"
@@ -129,7 +212,7 @@ int Usage() {
       "               within eps (0 or 1 disables; deterministic for a\n"
       "               fixed K/offset).\n"
       "  --sieve-offset R:  which residue class of the trajectory rank is\n"
-      "               sampled (default 0).\n"
+      "               sampled (default 0; needs --sieve K >= 2).\n"
       "  --shards S:  sharded grouping — decompose the segments over a cell\n"
       "               grid into S shards, cluster each independently (in\n"
       "               parallel), and merge clusters across shard borders\n"
@@ -200,6 +283,7 @@ common::Result<distance::BatchKernel> KernelFlag(const Args& args) {
 core::RunContext MakeContext(const Args& args,
                              distance::BatchKernel kernel) {
   core::RunContext ctx;
+  ctx.num_threads = args.GetInt("threads", 0);
   if (args.GetSwitch("progress")) {
     ctx.progress = [](const std::string& stage, double fraction) {
       std::fprintf(stderr, "[%5.1f%%] %s\n", 100.0 * fraction, stage.c_str());
@@ -207,10 +291,6 @@ core::RunContext MakeContext(const Args& args,
   }
   ctx.distance_kernel = kernel;
   ctx.neighbor_cache_dir = args.GetString("neighbor-cache");
-  // Harmless outside `cluster` (only a Sieve/ShardedGroupStage reads these).
-  ctx.sieve = static_cast<size_t>(args.GetDouble("sieve", 0));
-  ctx.sieve_offset = static_cast<size_t>(args.GetDouble("sieve-offset", 0));
-  ctx.shards = static_cast<size_t>(args.GetDouble("shards", 0));
   return ctx;
 }
 
@@ -218,8 +298,7 @@ int CmdGenerate(const Args& args) {
   if (args.positional.size() < 2) return Usage();
   const std::string& kind = args.positional[0];
   const std::string& out = args.positional[1];
-  const uint64_t seed =
-      static_cast<uint64_t>(args.GetDouble("seed", 0));
+  const uint64_t seed = args.GetCount("seed", 0);
 
   traj::TrajectoryDatabase db;
   if (kind == "hurricane") {
@@ -285,10 +364,10 @@ int CmdPartition(const Args& args) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 2;
   }
-  core::TraclusConfig cfg;
-  cfg.partition.suppression_bits = args.GetDouble("suppression", 0.0);
-  cfg.num_threads = static_cast<int>(args.GetDouble("threads", 0));
-  const auto engine = core::TraclusEngine::FromConfig(cfg);
+  core::MdlPartitionOptions partition;
+  partition.mdl.suppression_bits = args.GetDouble("suppression", 0.0);
+  const auto engine =
+      core::TraclusEngine::Builder().UseMdlPartitioning(partition).Build();
   if (!engine.ok()) return FailWith(engine.status());
   const auto partitioned =
       engine->Partition(*loaded, MakeContext(args, *kernel));
@@ -321,25 +400,30 @@ int CmdEstimate(const Args& args) {
   if (args.positional.empty()) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
+  // The heuristic needs two grid points; the cap keeps the grid an int and
+  // its per-point profiles within reason.
+  const size_t grid = args.GetCount("grid", 60);
+  if (grid < 2 || grid > 100000) {
+    std::fprintf(stderr, "traclus estimate: --grid needs 2 <= N <= 100000\n");
+    return 1;
+  }
   const auto loaded = Load(args.positional[0]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 2;
   }
-  core::TraclusConfig base;
-  base.num_threads = static_cast<int>(args.GetDouble("threads", 0));
-  const auto engine = core::TraclusEngine::FromConfig(base);
+  const auto engine = core::TraclusEngine::Builder().Build();
   if (!engine.ok()) return FailWith(engine.status());
-  const auto partitioned =
-      engine->Partition(*loaded, MakeContext(args, *kernel));
+  const core::RunContext ctx = MakeContext(args, *kernel);
+  const auto partitioned = engine->Partition(*loaded, ctx);
   if (!partitioned.ok()) return FailWith(partitioned.status());
   const traj::SegmentStore& store = partitioned->store;
   const distance::SegmentDistance dist;
   params::HeuristicOptions opt;
   opt.eps_lo = args.GetDouble("eps-lo", 0.25);
   opt.eps_hi = args.GetDouble("eps-hi", 40.0);
-  opt.grid_points = static_cast<int>(args.GetDouble("grid", 60));
-  opt.num_threads = base.num_threads;
+  opt.grid_points = static_cast<int>(grid);
+  opt.num_threads = ctx.num_threads;
   opt.kernel = *kernel;
   const auto est = params::EstimateParameters(store, dist, opt);
   std::printf("# eps entropy\n");
@@ -358,15 +442,21 @@ int CmdCluster(const Args& args) {
   if (args.positional.empty()) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
-  if (args.options.find("eps") == args.options.end() ||
-      args.options.find("min-lns") == args.options.end()) {
+  if (!args.Has("eps") || !args.Has("min-lns")) {
     std::fprintf(stderr, "cluster requires --eps and --min-lns\n");
     return 1;
   }
+  const size_t sieve = args.GetCount("sieve", 0);
+  const size_t shards = args.GetCount("shards", 0);
+  if (args.Has("sieve-offset") && sieve < 2) {
+    std::fprintf(stderr,
+                 "traclus cluster: --sieve-offset selects a sieve residue and "
+                 "needs --sieve K with K >= 2\n");
+    return 1;
+  }
   const std::string& input = args.positional[0];
-  const bool stream = args.GetSwitch("stream") ||
-                      args.options.count("chunk-size") > 0 ||
-                      args.options.count("max-resident") > 0;
+  const bool stream = args.GetSwitch("stream") || args.Has("chunk-size") ||
+                      args.Has("max-resident");
   if (stream && !args.GetString("svg").empty()) {
     std::fprintf(stderr,
                  "--svg needs the full input database and is incompatible "
@@ -374,7 +464,7 @@ int CmdCluster(const Args& args) {
     return 1;
   }
   const std::string snapshot_path = args.GetString("save-snapshot");
-  if (!snapshot_path.empty() && args.options.count("max-resident") > 0) {
+  if (!snapshot_path.empty() && args.Has("max-resident")) {
     // A residency-capped run leaves result.store empty on purpose; the
     // snapshot needs the materialized segment columns.
     std::fprintf(stderr,
@@ -402,27 +492,27 @@ int CmdCluster(const Args& args) {
   core::TraclusEngine::Builder builder;
   builder.UseMdlPartitioning(partition)
       .UseDbscanGrouping(group)
-      .UseSweepRepresentatives(reps_options)
-      .SetDefaultNumThreads(static_cast<int>(args.GetDouble("threads", 0)));
-  const size_t shards = static_cast<size_t>(args.GetDouble("shards", 0));
+      .UseSweepRepresentatives(reps_options);
   if (shards >= 2) {
     // Sharded grouping: cell-grid decomposition, per-shard DBSCAN, halo
     // merge. Applied before the sieve wrap so a combined run shards the
     // sieve's sampled sub-database. Same ε/MinLns/distance as the DBSCAN
     // backend — the merge must describe the same clustering.
     core::ShardedGroupOptions shard_options;
+    shard_options.shards = shards;
     shard_options.eps = group.eps;
     shard_options.min_lns = group.min_lns;
     shard_options.use_weights = group.use_weights;
     shard_options.distance = group.distance;
     builder.WithShardedGrouping(shard_options);
   }
-  const size_t sieve = static_cast<size_t>(args.GetDouble("sieve", 0));
   if (sieve >= 2) {
     // Sieve-sampled grouping: cluster 1-in-k trajectories, assign the rest
     // to the nearest cluster. Same ε and distance as the DBSCAN backend so
     // membership means the same thing on both sides of the sieve.
     core::SieveGroupOptions sieve_options;
+    sieve_options.k = sieve;
+    sieve_options.offset = args.GetCount("sieve-offset", 0);
     sieve_options.eps = group.eps;
     sieve_options.distance = group.distance;
     builder.WithSieveGrouping(sieve_options);
@@ -438,10 +528,8 @@ int CmdCluster(const Args& args) {
     auto source = OpenSource(input);
     if (!source.ok()) return FailWith(source.status());
     core::RunContext ctx = MakeContext(args, *kernel);
-    ctx.chunk_capacity =
-        static_cast<size_t>(args.GetDouble("chunk-size", 0));
-    ctx.max_resident_chunks =
-        static_cast<size_t>(args.GetDouble("max-resident", 0));
+    ctx.chunk_capacity = args.GetCount("chunk-size", 0);
+    ctx.max_resident_chunks = args.GetCount("max-resident", 0);
     run = engine->Run(**source, ctx);
     // Mid-stream ingest failures are the streaming twin of an eager load
     // failure: IO/parse problems exit 2, like the loader below. (Config
@@ -579,7 +667,7 @@ int CmdAssign(const Args& args) {
 
   core::AssignOptions options;
   options.kernel = *kernel;
-  options.num_threads = static_cast<int>(args.GetDouble("threads", 1));
+  options.num_threads = args.GetInt("threads", 1);
 
   const std::string labels = args.GetString("labels");
   std::ofstream f;
@@ -619,19 +707,57 @@ int CmdAssign(const Args& args) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
+  using K = FlagKind;
+  // Each command's flag table: anything else on its command line is a
+  // usage error.
+  const FlagSpec run_flags = {
+      {"threads", K::kInt}, {"kernel", K::kString}, {"progress", K::kSwitch}};
+  const auto with_run_flags = [&](FlagSpec spec) {
+    spec.insert(run_flags.begin(), run_flags.end());
+    return spec;
+  };
+  struct Command {
+    FlagSpec flags;
+    int (*run)(const Args&);
+  };
+  const std::map<std::string, Command> commands = {
+      {"generate", {{{"seed", K::kCount}}, CmdGenerate}},
+      {"stats", {{}, CmdStats}},
+      {"partition",
+       {with_run_flags({{"suppression", K::kReal}, {"out", K::kString}}),
+        CmdPartition}},
+      {"estimate",
+       {with_run_flags({{"eps-lo", K::kReal},
+                        {"eps-hi", K::kReal},
+                        {"grid", K::kCount}}),
+        CmdEstimate}},
+      {"cluster",
+       {with_run_flags({{"eps", K::kReal},
+                        {"min-lns", K::kReal},
+                        {"suppression", K::kReal},
+                        {"undirected", K::kSwitch},
+                        {"weighted", K::kSwitch},
+                        {"no-index", K::kSwitch},
+                        {"sieve", K::kCount},
+                        {"sieve-offset", K::kCount},
+                        {"shards", K::kCount},
+                        {"stream", K::kSwitch},
+                        {"chunk-size", K::kCount},
+                        {"max-resident", K::kCount},
+                        {"neighbor-cache", K::kString},
+                        {"save-snapshot", K::kString},
+                        {"labels", K::kString},
+                        {"reps", K::kString},
+                        {"svg", K::kString}}),
+        CmdCluster}},
+      {"assign",
+       {{{"threads", K::kInt}, {"kernel", K::kString}, {"labels", K::kString}},
+        CmdAssign}},
+  };
   const std::string cmd = argv[1];
-  const std::vector<std::string> value_flags = {
-      "seed",    "suppression",  "out",     "eps-lo",     "eps-hi",
-      "grid",    "eps",          "min-lns", "labels",     "reps",
-      "svg",     "threads",      "kernel",  "chunk-size", "max-resident",
-      "sieve",   "sieve-offset", "shards",  "neighbor-cache",
-      "save-snapshot"};
-  const Args args = Parse(argc - 2, argv + 2, value_flags);
-  if (cmd == "generate") return CmdGenerate(args);
-  if (cmd == "stats") return CmdStats(args);
-  if (cmd == "partition") return CmdPartition(args);
-  if (cmd == "estimate") return CmdEstimate(args);
-  if (cmd == "cluster") return CmdCluster(args);
-  if (cmd == "assign") return CmdAssign(args);
-  return Usage();
+  const auto it = commands.find(cmd);
+  if (it == commands.end()) return Usage();
+  Args args;
+  if (!Parse(argc - 2, argv + 2, cmd, it->second.flags, &args)) return 1;
+  return it->second.run(args);
 }
