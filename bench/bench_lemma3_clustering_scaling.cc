@@ -105,7 +105,7 @@ void BM_DbscanGridIndexThreads(benchmark::State& state) {
 
   // Built once, outside the timed region: construction is serial for every
   // thread count (it would Amdahl-cap the scaling signal), and the index is
-  // read-only under the parallel batch (per-chunk QueryScratch), so reuse
+  // read-only under the parallel batch (per-thread query scratch), so reuse
   // across iterations is safe. BM_DbscanWithGridIndex above still measures
   // the build-inclusive Lemma 3 cost.
   const cluster::GridNeighborhoodIndex index(segs, dist);

@@ -45,9 +45,8 @@ class NeighborhoodProvider {
   ///
   /// The default implementation fans `Neighbors` out over the pool and
   /// therefore requires `Neighbors` to be safe for concurrent calls (true for
-  /// the brute-force provider, which keeps no query-time state).
-  /// Providers with per-query scratch must override (see
-  /// GridNeighborhoodIndex).
+  /// every provider here: the grid indexes keep their query scratch per
+  /// thread).
   virtual std::vector<std::vector<size_t>> AllNeighbors(
       double eps, common::ThreadPool& pool) const;
 
@@ -63,8 +62,7 @@ class NeighborhoodProvider {
   /// the block-streamed grouping phase's primitive — it fans a bounded block
   /// of queries out at once, so peak memory stays proportional to the block
   /// rather than to the whole database. Same default thread-safety
-  /// requirement as `AllNeighbors`; providers with per-query scratch override
-  /// (see GridNeighborhoodIndex).
+  /// requirement as `AllNeighbors`.
   virtual std::vector<std::vector<size_t>> NeighborsBatch(
       const std::vector<size_t>& queries, double eps,
       common::ThreadPool& pool) const;

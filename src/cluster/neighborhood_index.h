@@ -1,44 +1,27 @@
 #ifndef TRACLUS_CLUSTER_NEIGHBORHOOD_INDEX_H_
 #define TRACLUS_CLUSTER_NEIGHBORHOOD_INDEX_H_
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/neighborhood.h"
-#include "geom/bbox.h"
+#include "cluster/segment_grid.h"
 
 namespace traclus::cluster {
 
-/// Exact ε-neighborhood index over line segments: a uniform grid of segment
-/// bounding boxes with lower-bound pruning.
+/// Exact ε-neighborhood index over a traj::SegmentStore: the SegmentGrid walk
+/// gathers the MBR-pruned candidates, and one distance::EpsilonRefineTile
+/// over the store decides exact membership (after its own midpoint /
+/// half-length prune), so lists equal brute force. When the distance has no
+/// usable lower bound (c = 0, a degenerate weight configuration) every query
+/// is the BruteForceNeighborhood scan.
 ///
-/// Lemma 3 observes that a spatial index drops clustering from O(n²) to
-/// O(n log n), but §4.2 notes the TRACLUS distance is not a metric, so indexes
-/// cannot prune with the query distance directly. This index instead prunes
-/// with plain Euclidean geometry using the provable bound
-///   dist(Li, Lj) ≥ c · mindist(Li, Lj),  c = min(w⊥/2, w∥)
-/// (see SegmentDistance::LowerBoundFactor). A query with radius ε therefore
-/// only needs candidates whose MBR mindist is ≤ ε / c; every candidate is then
-/// checked with the exact distance, making results identical to brute force.
-/// When c = 0 (a degenerate weight configuration) the index transparently
-/// degrades to a scan, preserving exactness.
-///
-/// The cell edge defaults to twice the mean segment MBR extent, keeping per-
-/// segment cell fan-out O(1) on the paper's workloads. This plays the role of
-/// the R-tree suggested in Lemma 3; a uniform grid has the same asymptotics for
-/// the (densely populated, laptop-scale) evaluation data sets and far simpler
-/// invariants.
-///
-/// Queries follow the candidate/refine split: the grid walk gathers deduped,
-/// MBR-pruned candidates into the scratch, and distance::EpsilonRefineTile
-/// prunes the rest with the midpoint/half-length bound before the blocked
-/// exact evaluation.
+/// `Neighbors` is safe to call from any number of threads (the grid's scratch
+/// is per thread), so the provider's batch queries are the
+/// NeighborhoodProvider fan-outs.
 class GridNeighborhoodIndex : public NeighborhoodProvider {
  public:
   /// Builds the index; `store` and `dist` must outlive it. Per-segment MBRs
-  /// come straight from the store's invariant cache (no rebuild here), and
-  /// every exact verification uses the batched kernels over the store.
+  /// come straight from the store's invariant cache (no rebuild here).
   /// `cell_size` ≤ 0 selects the automatic heuristic; `kernel` selects the
   /// refinement kernel (results identical for every choice).
   GridNeighborhoodIndex(
@@ -46,65 +29,20 @@ class GridNeighborhoodIndex : public NeighborhoodProvider {
       double cell_size = 0.0,
       distance::BatchKernel kernel = distance::BatchKernel::kAuto);
 
-  /// Reusable per-caller query state: candidate-dedup stamps plus the
-  /// candidate staging buffer handed to the refine kernel. One scratch must
-  /// never be used by two threads at once; distinct scratches make `Neighbors`
-  /// safe to call concurrently.
-  struct QueryScratch {
-    std::vector<uint32_t> visit_stamp;
-    uint32_t stamp = 0;
-    std::vector<size_t> candidates;
-  };
-
-  /// Convenience query against a per-thread scratch: safe to call from any
-  /// number of threads concurrently (each thread owns its scratch), identical
-  /// results to the explicit-scratch overload. Batch entry points below are
-  /// still preferred on hot paths — they amortize one scratch per chunk of
-  /// work instead of keeping one per thread alive.
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
-
-  /// Thread-safe query against caller-owned scratch. Results are identical to
-  /// the per-thread-scratch overload.
-  std::vector<size_t> Neighbors(size_t query_index, double eps,
-                                QueryScratch* scratch) const;
-
-  /// Batched queries with one scratch per chunk of work, fanned over `pool`.
-  std::vector<std::vector<size_t>> AllNeighbors(
-      double eps, common::ThreadPool& pool) const override;
-
-  /// Size-only batch with the same per-chunk scratch scheme; lists are
-  /// discarded as soon as they are counted.
-  std::vector<size_t> AllNeighborhoodSizes(
-      double eps, common::ThreadPool& pool) const override;
-
-  /// Subset batch with one scratch per chunk of queries.
-  std::vector<std::vector<size_t>> NeighborsBatch(
-      const std::vector<size_t>& queries, double eps,
-      common::ThreadPool& pool) const override;
-
   size_t size() const override { return store_.size(); }
 
-  double cell_size() const { return cell_size_; }
+  double cell_size() const { return grid_.cell_size(); }
 
   /// Number of grid cells materialized (diagnostics/tests).
-  size_t NumCells() const { return cells_.size(); }
+  size_t NumCells() const { return grid_.NumCells(); }
 
  private:
-  struct CellCoord {
-    int64_t x;
-    int64_t y;
-    int64_t z;
-  };
-
-  CellCoord CellOf(double x, double y, double z) const;
-  static uint64_t CellKey(const CellCoord& c);
-
   const traj::SegmentStore& store_;
   const distance::SegmentDistance& dist_;
   distance::BatchKernel kernel_;
-  double cell_size_ = 1.0;
-  int dims_ = 2;
-  std::unordered_map<uint64_t, std::vector<size_t>> cells_;
+  SegmentGrid grid_;
+  BruteForceNeighborhood scan_;  ///< The c = 0 fallback.
 };
 
 }  // namespace traclus::cluster

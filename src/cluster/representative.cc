@@ -7,30 +7,6 @@
 
 namespace traclus::cluster {
 
-geom::Point AverageDirectionVector(const std::vector<geom::Segment>& segments,
-                                   const Cluster& cluster) {
-  TRACLUS_CHECK(!cluster.member_indices.empty());
-  const int dims = segments[cluster.member_indices.front()].dims();
-  geom::Point sum = dims == 3 ? geom::Point(0, 0, 0) : geom::Point(0, 0);
-  for (const size_t idx : cluster.member_indices) {
-    sum = sum + segments[idx].Direction();
-  }
-  geom::Point avg = sum / static_cast<double>(cluster.member_indices.size());
-
-  if (avg.Norm() < 1e-12) {
-    // Members cancel out (e.g. perfectly opposing directions). Fall back to the
-    // longest member's direction so downstream rotation is still well defined.
-    double best_len = -1.0;
-    for (const size_t idx : cluster.member_indices) {
-      if (segments[idx].Length() > best_len) {
-        best_len = segments[idx].Length();
-        avg = segments[idx].Direction();
-      }
-    }
-  }
-  return avg;
-}
-
 geom::Point AverageDirectionVector(const traj::SegmentStore& store,
                                    const Cluster& cluster) {
   TRACLUS_CHECK(!cluster.member_indices.empty());
@@ -42,6 +18,8 @@ geom::Point AverageDirectionVector(const traj::SegmentStore& store,
   geom::Point avg = sum / static_cast<double>(cluster.member_indices.size());
 
   if (avg.Norm() < 1e-12) {
+    // Members cancel out (e.g. perfectly opposing directions). Fall back to the
+    // longest member's direction so downstream rotation is still well defined.
     double best_len = -1.0;
     for (const size_t idx : cluster.member_indices) {
       if (store.length(idx) > best_len) {
@@ -191,16 +169,6 @@ traj::Trajectory SweepWithAxis(const std::vector<geom::Segment>& segments,
 }
 
 }  // namespace
-
-traj::Trajectory RepresentativeTrajectory(
-    const std::vector<geom::Segment>& segments, const Cluster& cluster,
-    const RepresentativeOptions& options) {
-  if (cluster.member_indices.empty()) {
-    return traj::Trajectory(cluster.id, "representative");
-  }
-  return SweepWithAxis(segments, cluster, options,
-                       AverageDirectionVector(segments, cluster));
-}
 
 traj::Trajectory RepresentativeTrajectory(
     const traj::SegmentStore& store, const Cluster& cluster,

@@ -40,13 +40,8 @@ struct RepresentativeOptions {
 /// member segments: the (component-wise) mean of the segment vectors. Summing
 /// full vectors rather than unit vectors deliberately weights longer segments
 /// more. If the mean is (near-)zero — segments cancel — falls back to the
-/// direction of the longest member so a frame always exists.
-geom::Point AverageDirectionVector(const std::vector<geom::Segment>& segments,
-                                   const Cluster& cluster);
-
-/// Store-backed overload: sums the cached direction vectors (and reads the
-/// cached lengths in the cancellation fallback) instead of recomputing them
-/// per member.
+/// direction of the longest member so a frame always exists. Reads the
+/// store's cached direction vectors and lengths.
 geom::Point AverageDirectionVector(const traj::SegmentStore& store,
                                    const Cluster& cluster);
 
@@ -57,12 +52,6 @@ geom::Point AverageDirectionVector(const traj::SegmentStore& store,
 /// segments, translated back into the original frame.
 ///
 /// Returns an empty trajectory when no sweep position reaches MinLns hits.
-traj::Trajectory RepresentativeTrajectory(
-    const std::vector<geom::Segment>& segments, const Cluster& cluster,
-    const RepresentativeOptions& options);
-
-/// Store-backed overload: identical output; the sweep frame is built from the
-/// store's cached direction sums and its AoS view.
 traj::Trajectory RepresentativeTrajectory(const traj::SegmentStore& store,
                                           const Cluster& cluster,
                                           const RepresentativeOptions& options);

@@ -32,8 +32,9 @@ void Report(const RunContext& ctx, const char* stage, double fraction) {
   if (ctx.progress) ctx.progress(stage, fraction);
 }
 
-// Shared by the two grouping adapters: the ε-neighborhood source of Lemma 3,
-// bound to the run's segment store and the run's batch-kernel selection.
+// The ε-neighborhood source of Lemma 3 for the grouping adapters, bound to
+// the run's segment store and the run's batch-kernel selection: the grid
+// index or the full scan, over the eager store or the chunked one.
 std::unique_ptr<cluster::NeighborhoodProvider> MakeProvider(
     const traj::SegmentStore& store, const distance::SegmentDistance& dist,
     bool use_index, distance::BatchKernel kernel) {
@@ -43,6 +44,18 @@ std::unique_ptr<cluster::NeighborhoodProvider> MakeProvider(
   }
   return std::make_unique<cluster::BruteForceNeighborhood>(store, dist,
                                                            kernel);
+}
+
+std::unique_ptr<cluster::NeighborhoodProvider> MakeProvider(
+    const traj::ChunkedSegmentStore& store,
+    const distance::SegmentDistance& dist, bool use_index,
+    distance::BatchKernel kernel) {
+  if (use_index) {
+    return std::make_unique<cluster::ChunkedGridNeighborhood>(
+        store, dist, /*cell_size=*/0.0, kernel);
+  }
+  return std::make_unique<cluster::ChunkedBruteForceNeighborhood>(store, dist,
+                                                                  kernel);
 }
 
 // The run's provider plus, when RunContext::neighbor_cache_dir is set, the
@@ -268,14 +281,8 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::Run(
 common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
     const traj::ChunkedSegmentStore& store, const RunContext& ctx) const {
   const distance::SegmentDistance dist(options_.distance);
-  std::unique_ptr<cluster::NeighborhoodProvider> provider;
-  if (options_.use_index) {
-    provider = std::make_unique<cluster::ChunkedGridNeighborhood>(
-        store, dist, /*cell_size=*/0.0, ctx.distance_kernel);
-  } else {
-    provider = std::make_unique<cluster::ChunkedBruteForceNeighborhood>(
-        store, dist, ctx.distance_kernel);
-  }
+  const std::unique_ptr<cluster::NeighborhoodProvider> provider =
+      MakeProvider(store, dist, options_.use_index, ctx.distance_kernel);
 
   const cluster::DbscanOptions o = DbscanRunOptions(options_, name(), ctx);
   try {

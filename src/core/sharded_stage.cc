@@ -135,8 +135,11 @@ common::Status ShardedGroupStage::Validate() const {
 
 common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     const traj::SegmentStore& store, const RunContext& ctx) const {
-  const size_t S = options_.shards;
+  // More shards than segments own nothing more: the balanced split already
+  // gives every occupied cell its own shard at S = n. Clamping keeps the
+  // per-shard state sized by the data, not by the caller's count.
   const size_t n = store.size();
+  const size_t S = std::min(options_.shards, std::max<size_t>(1, n));
   if (S <= 1 || n == 0) {
     // Sharding disabled: the decorator is transparent, byte for byte.
     return inner_->Run(store, ctx);

@@ -105,7 +105,9 @@ struct ShardedGroupOptions {
   /// (shards execute in parallel across the run's threads), and shard-border
   /// clusters are merged through a halo exchange behind the communicator
   /// seam (core/shard_comm.h). 0 or 1 disables sharding (the inner backend
-  /// runs on everything, byte-identically to using it directly).
+  /// runs on everything, byte-identically to using it directly). A count
+  /// above the segment count n runs as S = n, which already gives every
+  /// occupied cell its own shard.
   size_t shards = 0;
   /// Neighborhood radius ε (Definition 4) of the inner clustering — drives
   /// the halo width, the border tiles, and the merge predicate. Must be

@@ -10,10 +10,7 @@ SegmentStore::SegmentStore(std::vector<geom::Segment> segments)
   length_.resize(n);
   squared_length_.resize(n);
   half_length_.resize(n);
-  inv_length_.resize(n);
   direction_.resize(n);
-  unit_direction_.resize(n);
-  midpoint_.resize(n);
   bbox_.resize(n);
   id_.resize(n);
   trajectory_id_.resize(n);
@@ -38,19 +35,17 @@ SegmentStore::SegmentStore(std::vector<geom::Segment> segments)
     length_[i] = std::sqrt(squared_length_[i]);
     // Halving is an exponent decrement: 0.5 · length is exact in binary FP.
     half_length_[i] = 0.5 * length_[i];
-    inv_length_[i] = length_[i] > 0.0 ? 1.0 / length_[i] : 0.0;
-    unit_direction_[i] = direction_[i] * inv_length_[i];
-    midpoint_[i] = s.Midpoint();
     bbox_[i].Extend(s);
     id_[i] = s.id();
     trajectory_id_[i] = s.trajectory_id();
     weight_[i] = s.weight();
     // Flat SoA coordinate columns: bit-exact component copies.
+    const geom::Point midpoint = s.Midpoint();
     for (int d = 0; d < dims_; ++d) {
       start_c_[d][i] = s.start()[d];
       end_c_[d][i] = s.end()[d];
       direction_c_[d][i] = direction_[i][d];
-      midpoint_c_[d][i] = midpoint_[i][d];
+      midpoint_c_[d][i] = midpoint[d];
     }
   }
 }

@@ -81,16 +81,12 @@ class SegmentStore {
   }
 
   // --- Per-segment invariants -------------------------------------------
-  // The distance fast path consumes length/squared_length/direction (and the
-  // indexes consume bbox); inv_length, unit_direction, and midpoint are part
-  // of the substrate contract for SoA batch kernels (see ROADMAP: SIMD batch
-  // distance, sharded/streaming backends) and for consumers that do not need
-  // bit-identity with the Segment accessors.
-  // Each equals the corresponding fresh computation bit-for-bit:
+  // The distance fast path consumes length/squared_length/direction, the
+  // indexes consume bbox. Each equals the corresponding fresh computation
+  // bit-for-bit:
   //   direction(i)       == segment(i).Direction()
   //   squared_length(i)  == segment(i).Direction().SquaredNorm()
   //   length(i)          == segment(i).Length()
-  //   midpoint(i)        == segment(i).Midpoint()
   //   bbox(i)            == BBox extended by both endpoints of segment(i)
 
   double length(size_t i) const { return length_[i]; }
@@ -99,16 +95,7 @@ class SegmentStore {
   /// enclosing ball, consumed by the batch kernels' triangle-inequality
   /// candidate prune (distance/batch_kernels.h).
   double half_length(size_t i) const { return half_length_[i]; }
-  /// 1 / length, or 0 for a degenerate (point-like) segment. For fast-path
-  /// code that may multiply instead of divide; NOT bit-equivalent to
-  /// dividing by length, so exactness-critical paths must divide.
-  double inv_length(size_t i) const { return inv_length_[i]; }
   const geom::Point& direction(size_t i) const { return direction_[i]; }
-  /// direction * inv_length (the zero vector for degenerate segments).
-  const geom::Point& unit_direction(size_t i) const {
-    return unit_direction_[i];
-  }
-  const geom::Point& midpoint(size_t i) const { return midpoint_[i]; }
   const geom::BBox& bbox(size_t i) const { return bbox_[i]; }
   geom::SegmentId id(size_t i) const { return id_[i]; }
   geom::TrajectoryId trajectory_id(size_t i) const {
@@ -136,7 +123,7 @@ class SegmentStore {
   //   start_coords(d)[i]     == segment(i).start()[d]
   //   end_coords(d)[i]       == segment(i).end()[d]
   //   direction_coords(d)[i] == direction(i)[d]
-  //   midpoint_coords(d)[i]  == midpoint(i)[d]
+  //   midpoint_coords(d)[i]  == segment(i).Midpoint()[d]
   // Columns for d ≥ dims() exist and are zero-filled so kernels may bind all
   // kMaxDims pointers unconditionally; exactness-critical loops must still
   // iterate only d < dims(), mirroring the Point operations.
@@ -162,10 +149,7 @@ class SegmentStore {
   std::vector<double> length_;
   std::vector<double> squared_length_;
   std::vector<double> half_length_;
-  std::vector<double> inv_length_;
   std::vector<geom::Point> direction_;
-  std::vector<geom::Point> unit_direction_;
-  std::vector<geom::Point> midpoint_;
   std::vector<geom::BBox> bbox_;
   std::vector<geom::SegmentId> id_;
   std::vector<geom::TrajectoryId> trajectory_id_;

@@ -56,14 +56,11 @@ void ExpectChunkIsExactSlice(const SegmentStore& chunk, size_t base,
     EXPECT_EQ(chunk.length(i), mono.length(g));
     EXPECT_EQ(chunk.squared_length(i), mono.squared_length(g));
     EXPECT_EQ(chunk.half_length(i), mono.half_length(g));
-    EXPECT_EQ(chunk.inv_length(i), mono.inv_length(g));
     EXPECT_EQ(chunk.weight(i), mono.weight(g));
     EXPECT_EQ(chunk.id(i), mono.id(g));
     EXPECT_EQ(chunk.trajectory_id(i), mono.trajectory_id(g));
     for (int d = 0; d < mono.dims(); ++d) {
       EXPECT_EQ(chunk.direction(i)[d], mono.direction(g)[d]);
-      EXPECT_EQ(chunk.unit_direction(i)[d], mono.unit_direction(g)[d]);
-      EXPECT_EQ(chunk.midpoint(i)[d], mono.midpoint(g)[d]);
       EXPECT_EQ(chunk.segment(i).start()[d], mono.segment(g).start()[d]);
       EXPECT_EQ(chunk.segment(i).end()[d], mono.segment(g).end()[d]);
       EXPECT_EQ(chunk.bbox(i).lo(d), mono.bbox(g).lo(d));

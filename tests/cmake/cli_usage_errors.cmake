@@ -1,5 +1,6 @@
 # Strict argv parsing of the `traclus` CLI: every malformed command line below
-# must exit 1 (a usage error) and name the offending flag on stderr, while the
+# must exit 1 (a usage error) and name the offending flag or argument on
+# stderr, while the
 # same command without the mistake exits 0 — so a lenient parser that ran the
 # mistyped command anyway fails this check.
 #
@@ -50,3 +51,10 @@ expect_exit(1 "--sieve-offset" ${cluster} --sieve-offset 3)
 expect_exit(1 "--sieve-offset" ${cluster} --sieve 1 --sieve-offset 3)
 # A value flag at the end of the line, missing its value.
 expect_exit(1 "--min-lns" cluster "${csv}" --eps 10 --min-lns)
+# Surplus positional arguments: each command takes an exact count.
+expect_exit(0 "" stats "${csv}")
+expect_exit(1 "extra.csv" stats "${csv}" extra.csv)
+set(snapshot "${WORK_DIR}/fig1.snapshot")
+expect_exit(0 "" ${cluster} --save-snapshot "${snapshot}")
+expect_exit(0 "" assign "${snapshot}" "${csv}")
+expect_exit(1 "extra.csv" assign "${snapshot}" "${csv}" extra.csv)

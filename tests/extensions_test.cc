@@ -12,6 +12,7 @@
 #include "datagen/hurricane_generator.h"
 #include "params/entropy.h"
 #include "partition/approximate_partitioner.h"
+#include "traj/segment_store.h"
 
 namespace traclus {
 namespace {
@@ -53,7 +54,8 @@ TEST(ThreeDimensionalTest, RepresentativeOfA3DBundleIsItsCenterline) {
   cluster::RepresentativeOptions opt;
   opt.min_lns = 3;
   opt.method = cluster::RepresentativeMethod::kProjection;
-  const auto rep = cluster::RepresentativeTrajectory(segs, c, opt);
+  const auto rep = cluster::RepresentativeTrajectory(
+      traj::SegmentStore::FromSegments(segs), c, opt);
   ASSERT_GE(rep.size(), 2u);
   for (const auto& p : rep.points()) {
     EXPECT_EQ(p.dims(), 3);

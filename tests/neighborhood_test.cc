@@ -1,5 +1,6 @@
 // Tests for ε-neighborhood providers: the brute-force oracle and the grid
-// index, including the exactness property that makes Lemma 3's index usable.
+// index and their chunked counterparts, including the exactness property that
+// makes Lemma 3's index usable.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +8,10 @@
 #include <atomic>
 #include <cmath>
 
+#include "cluster/chunked_neighborhood.h"
 #include "cluster/neighborhood.h"
 #include "cluster/neighborhood_index.h"
+#include "traj/chunked_store.h"
 #include "traj/segment_store.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -287,30 +290,67 @@ TEST(NeighborhoodCacheTest, EagerModeKeepsEverythingResident) {
 TEST(ProviderKernelTest, AllProvidersAgreeForEveryCompiledKernel) {
   // The providers delegate refinement to the batch kernels; every kernel
   // selection must produce the exact brute-force-per-pair neighborhoods
-  // through every provider.
+  // through every provider — the eager pair and the chunked pair, for every
+  // chunk capacity and residency cap. The w⊥ = 0 weight set has no usable
+  // lower bound, so both grids run their full-scan fallback.
   const auto segs = RandomSegments(150, 60, 6, 61);
-  const SegmentDistance dist;
   const double eps = 7.0;
+  common::ThreadPool& pool = common::SharedPool(4);
 
-  // Reference: the raw per-pair loop, independent of the kernel layer.
-  std::vector<std::vector<size_t>> expect(segs.size());
-  for (size_t i = 0; i < segs.size(); ++i) {
-    for (size_t j = 0; j < segs.size(); ++j) {
-      if (j == i || dist(segs, i, j) <= eps) expect[i].push_back(j);
-    }
-  }
+  SegmentDistanceConfig no_bound;
+  no_bound.w_perpendicular = 0.0;
+  for (const SegmentDistanceConfig& cfg : {SegmentDistanceConfig{}, no_bound}) {
+    const SegmentDistance dist(cfg);
+    SCOPED_TRACE(testing::Message()
+                 << "w_perpendicular " << cfg.w_perpendicular);
 
-  std::vector<distance::BatchKernel> kernels = {
-      distance::BatchKernel::kScalar};
-  if (distance::SimdCompiled()) {
-    kernels.push_back(distance::BatchKernel::kSimd);
-  }
-  for (const distance::BatchKernel kernel : kernels) {
-    const BruteForceNeighborhood brute(segs, dist, kernel);
-    const GridNeighborhoodIndex grid(segs, dist, 0.0, kernel);
+    // Reference: the raw per-pair loop, independent of the kernel layer.
+    std::vector<std::vector<size_t>> expect(segs.size());
     for (size_t i = 0; i < segs.size(); ++i) {
-      EXPECT_EQ(brute.Neighbors(i, eps), expect[i]) << "brute query " << i;
-      EXPECT_EQ(grid.Neighbors(i, eps), expect[i]) << "grid query " << i;
+      for (size_t j = 0; j < segs.size(); ++j) {
+        if (j == i || dist(segs, i, j) <= eps) expect[i].push_back(j);
+      }
+    }
+
+    std::vector<distance::BatchKernel> kernels = {
+        distance::BatchKernel::kScalar};
+    if (distance::SimdCompiled()) {
+      kernels.push_back(distance::BatchKernel::kSimd);
+    }
+    for (const distance::BatchKernel kernel : kernels) {
+      SCOPED_TRACE(testing::Message()
+                   << "kernel " << static_cast<int>(kernel));
+      const BruteForceNeighborhood brute(segs, dist, kernel);
+      const GridNeighborhoodIndex grid(segs, dist, 0.0, kernel);
+      for (size_t i = 0; i < segs.size(); ++i) {
+        EXPECT_EQ(brute.Neighbors(i, eps), expect[i]) << "brute query " << i;
+        EXPECT_EQ(grid.Neighbors(i, eps), expect[i]) << "grid query " << i;
+      }
+      EXPECT_EQ(grid.AllNeighbors(eps, pool), expect);
+
+      for (const size_t capacity : {size_t{1}, size_t{7}, segs.size()}) {
+        for (const size_t cap : {size_t{0}, size_t{2}}) {
+          SCOPED_TRACE(testing::Message() << "chunk_capacity " << capacity
+                                          << " max_resident_chunks " << cap);
+          traj::ChunkedStoreOptions options;
+          options.chunk_capacity = capacity;
+          options.max_resident_chunks = cap;
+          traj::ChunkedSegmentStore chunked(options);
+          ASSERT_TRUE(chunked.AppendAll(segs.segments()).ok());
+          ASSERT_TRUE(chunked.Finalize().ok());
+          const ChunkedBruteForceNeighborhood chunked_brute(chunked, dist,
+                                                            kernel);
+          const ChunkedGridNeighborhood chunked_grid(chunked, dist, 0.0,
+                                                     kernel);
+          for (size_t i = 0; i < segs.size(); ++i) {
+            EXPECT_EQ(chunked_brute.Neighbors(i, eps), expect[i])
+                << "chunked brute query " << i;
+            EXPECT_EQ(chunked_grid.Neighbors(i, eps), expect[i])
+                << "chunked grid query " << i;
+          }
+          EXPECT_EQ(chunked_grid.AllNeighbors(eps, pool), expect);
+        }
+      }
     }
   }
 }

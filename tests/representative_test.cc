@@ -7,6 +7,7 @@
 
 #include "cluster/representative.h"
 #include "common/rng.h"
+#include "traj/segment_store.h"
 
 namespace traclus::cluster {
 namespace {
@@ -14,12 +15,23 @@ namespace {
 using geom::Point;
 using geom::Segment;
 
+// Freezes `segs` into the store the representative API reads.
+traj::SegmentStore StoreOf(const std::vector<Segment>& segs) {
+  return traj::SegmentStore::FromSegments(segs);
+}
+
 // Builds a cluster over all of `segs`.
 Cluster AllOf(const std::vector<Segment>& segs) {
   Cluster c;
   c.id = 0;
   for (size_t i = 0; i < segs.size(); ++i) c.member_indices.push_back(i);
   return c;
+}
+
+// Fig. 15 over a cluster of all of `segs`.
+traj::Trajectory RepresentativeOfAll(const std::vector<Segment>& segs,
+                                     const RepresentativeOptions& options) {
+  return RepresentativeTrajectory(StoreOf(segs), AllOf(segs), options);
 }
 
 RepresentativeOptions Options(double min_lns, double gamma = 0.0,
@@ -38,7 +50,7 @@ TEST(AverageDirectionVectorTest, ParallelSegmentsAverageToSharedDirection) {
       Segment(Point(0, 1), Point(10, 1)),
       Segment(Point(0, 2), Point(10, 2)),
   };
-  const Point v = AverageDirectionVector(segs, AllOf(segs));
+  const Point v = AverageDirectionVector(StoreOf(segs), AllOf(segs));
   EXPECT_DOUBLE_EQ(v.x(), 10.0);
   EXPECT_DOUBLE_EQ(v.y(), 0.0);
 }
@@ -49,7 +61,7 @@ TEST(AverageDirectionVectorTest, LongerSegmentsContributeMore) {
       Segment(Point(0, 0), Point(100, 0)),  // Long, east.
       Segment(Point(0, 0), Point(0, 1)),    // Short, north.
   };
-  const Point v = AverageDirectionVector(segs, AllOf(segs));
+  const Point v = AverageDirectionVector(StoreOf(segs), AllOf(segs));
   EXPECT_GT(v.x(), 10 * v.y());
 }
 
@@ -58,7 +70,7 @@ TEST(AverageDirectionVectorTest, OpposingSegmentsFallBackToLongest) {
       Segment(Point(0, 0), Point(10, 0)),
       Segment(Point(10, 1), Point(0, 1)),  // Exactly opposite.
   };
-  const Point v = AverageDirectionVector(segs, AllOf(segs));
+  const Point v = AverageDirectionVector(StoreOf(segs), AllOf(segs));
   EXPECT_GT(v.Norm(), 0.0);  // Fallback produced a usable axis.
 }
 
@@ -70,7 +82,7 @@ TEST(RepresentativeTest, ParallelBundleYieldsCenterline) {
       Segment(Point(0, 1), Point(10, 1)),
       Segment(Point(0, 2), Point(10, 2)),
   };
-  const auto rep = RepresentativeTrajectory(segs, AllOf(segs), Options(3));
+  const auto rep = RepresentativeOfAll(segs, Options(3));
   ASSERT_GE(rep.size(), 2u);
   for (const auto& p : rep.points()) {
     EXPECT_NEAR(p.y(), 1.0, 1e-9);
@@ -86,7 +98,7 @@ TEST(RepresentativeTest, SweepSkipsPositionsBelowMinLns) {
       Segment(Point(4, 1), Point(10, 1)),
       Segment(Point(4, 2), Point(6, 2)),
   };
-  const auto rep = RepresentativeTrajectory(segs, AllOf(segs), Options(3));
+  const auto rep = RepresentativeOfAll(segs, Options(3));
   ASSERT_GE(rep.size(), 2u);
   for (const auto& p : rep.points()) {
     EXPECT_GE(p.x(), 4.0 - 1e-9);
@@ -99,7 +111,7 @@ TEST(RepresentativeTest, EmptyWhenNoPositionReachesMinLns) {
       Segment(Point(0, 0), Point(4, 0)),
       Segment(Point(6, 1), Point(10, 1)),  // Disjoint spans.
   };
-  const auto rep = RepresentativeTrajectory(segs, AllOf(segs), Options(2));
+  const auto rep = RepresentativeOfAll(segs, Options(2));
   EXPECT_TRUE(rep.empty());
 }
 
@@ -109,10 +121,8 @@ TEST(RepresentativeTest, GammaSmoothingThinsPoints) {
   for (int i = 0; i < 12; ++i) {
     segs.emplace_back(Point(0.1 * i, 0.1 * i), Point(10 + 0.1 * i, 0.1 * i));
   }
-  const auto dense =
-      RepresentativeTrajectory(segs, AllOf(segs), Options(3, 0.0));
-  const auto sparse =
-      RepresentativeTrajectory(segs, AllOf(segs), Options(3, 2.0));
+  const auto dense = RepresentativeOfAll(segs, Options(3, 0.0));
+  const auto sparse = RepresentativeOfAll(segs, Options(3, 2.0));
   EXPECT_GT(dense.size(), sparse.size());
   ASSERT_GE(sparse.size(), 2u);
   // Consecutive sweep gaps must respect γ.
@@ -133,11 +143,10 @@ TEST(RepresentativeTest, RotationAndProjectionMethodsAgreeIn2D) {
       const Point base = normal * (0.5 * i) + dir * rng.Uniform(-1.0, 0.0);
       segs.emplace_back(base, base + dir * rng.Uniform(8.0, 12.0));
     }
-    const auto c = AllOf(segs);
-    const auto rot = RepresentativeTrajectory(
-        segs, c, Options(3, 0.0, RepresentativeMethod::kRotation2D));
-    const auto proj = RepresentativeTrajectory(
-        segs, c, Options(3, 0.0, RepresentativeMethod::kProjection));
+    const auto rot = RepresentativeOfAll(
+        segs, Options(3, 0.0, RepresentativeMethod::kRotation2D));
+    const auto proj = RepresentativeOfAll(
+        segs, Options(3, 0.0, RepresentativeMethod::kProjection));
     ASSERT_EQ(rot.size(), proj.size());
     for (size_t i = 0; i < rot.size(); ++i) {
       EXPECT_NEAR(rot[i].x(), proj[i].x(), 1e-9);
@@ -158,7 +167,7 @@ TEST(RepresentativeTest, RepresentativeFollowsCurvedClusterTrend) {
     const double y1 = 0.05 * x1 * x1 + rng.Uniform(-0.3, 0.3);
     segs.emplace_back(Point(x0, y0), Point(x1, y1));
   }
-  const auto rep = RepresentativeTrajectory(segs, AllOf(segs), Options(3));
+  const auto rep = RepresentativeOfAll(segs, Options(3));
   ASSERT_GE(rep.size(), 2u);
   for (const auto& p : rep.points()) {
     const double expected = 0.05 * p.x() * p.x();
@@ -172,16 +181,16 @@ TEST(RepresentativeTest, WeightedSweepCountsUseWeights) {
       Segment(Point(0, 1), Point(10, 1), 1, 1, /*weight=*/3.0),
   };
   RepresentativeOptions opt = Options(5);  // Count 2 < 5, weight 6 ≥ 5.
-  const auto unweighted = RepresentativeTrajectory(segs, AllOf(segs), opt);
+  const auto unweighted = RepresentativeOfAll(segs, opt);
   EXPECT_TRUE(unweighted.empty());
   opt.use_weights = true;
-  const auto weighted = RepresentativeTrajectory(segs, AllOf(segs), opt);
+  const auto weighted = RepresentativeOfAll(segs, opt);
   EXPECT_GE(weighted.size(), 2u);
 }
 
 TEST(RepresentativeTest, SingleMemberClusterBehaves) {
   std::vector<Segment> segs = {Segment(Point(0, 0), Point(10, 5))};
-  const auto rep = RepresentativeTrajectory(segs, AllOf(segs), Options(1));
+  const auto rep = RepresentativeOfAll(segs, Options(1));
   ASSERT_EQ(rep.size(), 2u);
   EXPECT_NEAR(rep[0].x(), 0.0, 1e-9);
   EXPECT_NEAR(rep[1].y(), 5.0, 1e-9);
@@ -196,7 +205,7 @@ TEST(RepresentativeTest, ReversedMembersStillProduceForwardSweep) {
       Segment(Point(0, 2), Point(10, 2)),
       Segment(Point(10, 3), Point(0, 3)),  // Reversed.
   };
-  const auto rep = RepresentativeTrajectory(segs, AllOf(segs), Options(3));
+  const auto rep = RepresentativeOfAll(segs, Options(3));
   ASSERT_GE(rep.size(), 2u);
   EXPECT_LT(rep.points().front().x(), rep.points().back().x());
 }

@@ -64,13 +64,9 @@ TEST(SegmentStoreTest, InvariantsMatchFreshComputation) {
       EXPECT_EQ(store.segment(i), s);
       EXPECT_EQ(store.length(i), s.Length());
       EXPECT_EQ(store.squared_length(i), s.Direction().SquaredNorm());
-      EXPECT_EQ(store.inv_length(i),
-                s.Length() > 0.0 ? 1.0 / s.Length() : 0.0);
       for (int d = 0; d < s.dims(); ++d) {
         EXPECT_EQ(store.direction(i)[d], s.Direction()[d]);
-        EXPECT_EQ(store.unit_direction(i)[d],
-                  s.Direction()[d] * store.inv_length(i));
-        EXPECT_EQ(store.midpoint(i)[d], s.Midpoint()[d]);
+        EXPECT_EQ(store.midpoint_coords(d)[i], s.Midpoint()[d]);
         EXPECT_EQ(store.bbox(i).lo(d), std::min(s.start()[d], s.end()[d]));
         EXPECT_EQ(store.bbox(i).hi(d), std::max(s.start()[d], s.end()[d]));
       }

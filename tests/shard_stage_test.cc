@@ -299,6 +299,34 @@ TEST(ShardStageTest, RandomizedCorpusMatchesUnshardedModuloBorders) {
   }
 }
 
+TEST(ShardStageTest, ShardCountsAboveTheSegmentCountRunAsOnePerSegment) {
+  // S ≥ n shards own nothing more than n do, so any larger count must give
+  // the S = n clustering — including counts far too large to size per-shard
+  // state by.
+  std::vector<Segment> segments;
+  for (size_t i = 0; i < 24; ++i) {
+    const double x = static_cast<double>(i % 12) * 0.5;
+    const double y = i < 12 ? 0.0 : 40.0;
+    segments.emplace_back(Point(x, y), Point(x + 6.0, y + 0.3),
+                          static_cast<geom::SegmentId>(i),
+                          static_cast<geom::TrajectoryId>(i));
+  }
+  const traj::SegmentStore store(std::move(segments));
+  const size_t n = store.size();
+
+  DbscanGroupOptions group;
+  group.eps = 2.0;
+  group.min_lns = 4.0;
+  const auto expect = MakeShardedStage(group, n).Run(store, RunContext{});
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_EQ(expect->clusters.size(), 2u);
+  for (const size_t shards : {10 * n, size_t{1} << 62}) {
+    const auto got = MakeShardedStage(group, shards).Run(store, RunContext{});
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameClustering(*got, *expect);
+  }
+}
+
 TEST(ShardStageTest, StatsSinkCountsShardsAndGhosts) {
   const traj::SegmentStore& store = HurricaneStore();
   ShardedRunStats stats;

@@ -295,7 +295,6 @@ core::RunContext MakeContext(const Args& args,
 }
 
 int CmdGenerate(const Args& args) {
-  if (args.positional.size() < 2) return Usage();
   const std::string& kind = args.positional[0];
   const std::string& out = args.positional[1];
   const uint64_t seed = args.GetCount("seed", 0);
@@ -336,7 +335,6 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdStats(const Args& args) {
-  if (args.positional.empty()) return Usage();
   const auto loaded = Load(args.positional[0]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -356,7 +354,6 @@ int CmdStats(const Args& args) {
 }
 
 int CmdPartition(const Args& args) {
-  if (args.positional.empty()) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
   const auto loaded = Load(args.positional[0]);
@@ -397,7 +394,6 @@ int CmdPartition(const Args& args) {
 }
 
 int CmdEstimate(const Args& args) {
-  if (args.positional.empty()) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
   // The heuristic needs two grid points; the cap keeps the grid an int and
@@ -439,7 +435,6 @@ int CmdEstimate(const Args& args) {
 }
 
 int CmdCluster(const Args& args) {
-  if (args.positional.empty()) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
   if (!args.Has("eps") || !args.Has("min-lns")) {
@@ -654,7 +649,6 @@ int CmdCluster(const Args& args) {
 }
 
 int CmdAssign(const Args& args) {
-  if (args.positional.size() < 2) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
   const auto snapshot = core::ClusterSnapshot::Load(args.positional[0]);
@@ -708,8 +702,8 @@ int CmdAssign(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   using K = FlagKind;
-  // Each command's flag table: anything else on its command line is a
-  // usage error.
+  // Each command's flag table and positional-argument count: anything else
+  // on its command line is a usage error.
   const FlagSpec run_flags = {
       {"threads", K::kInt}, {"kernel", K::kString}, {"progress", K::kSwitch}};
   const auto with_run_flags = [&](FlagSpec spec) {
@@ -718,19 +712,20 @@ int main(int argc, char** argv) {
   };
   struct Command {
     FlagSpec flags;
+    size_t positionals;
     int (*run)(const Args&);
   };
   const std::map<std::string, Command> commands = {
-      {"generate", {{{"seed", K::kCount}}, CmdGenerate}},
-      {"stats", {{}, CmdStats}},
+      {"generate", {{{"seed", K::kCount}}, 2, CmdGenerate}},
+      {"stats", {{}, 1, CmdStats}},
       {"partition",
-       {with_run_flags({{"suppression", K::kReal}, {"out", K::kString}}),
+       {with_run_flags({{"suppression", K::kReal}, {"out", K::kString}}), 1,
         CmdPartition}},
       {"estimate",
        {with_run_flags({{"eps-lo", K::kReal},
                         {"eps-hi", K::kReal},
                         {"grid", K::kCount}}),
-        CmdEstimate}},
+        1, CmdEstimate}},
       {"cluster",
        {with_run_flags({{"eps", K::kReal},
                         {"min-lns", K::kReal},
@@ -749,15 +744,22 @@ int main(int argc, char** argv) {
                         {"labels", K::kString},
                         {"reps", K::kString},
                         {"svg", K::kString}}),
-        CmdCluster}},
+        1, CmdCluster}},
       {"assign",
        {{{"threads", K::kInt}, {"kernel", K::kString}, {"labels", K::kString}},
-        CmdAssign}},
+        2, CmdAssign}},
   };
   const std::string cmd = argv[1];
   const auto it = commands.find(cmd);
   if (it == commands.end()) return Usage();
   Args args;
   if (!Parse(argc - 2, argv + 2, cmd, it->second.flags, &args)) return 1;
+  const size_t want = it->second.positionals;
+  if (args.positional.size() > want) {
+    std::fprintf(stderr, "traclus %s: unexpected argument '%s'\n", cmd.c_str(),
+                 args.positional[want].c_str());
+    return 1;
+  }
+  if (args.positional.size() < want) return Usage();
   return it->second.run(args);
 }
