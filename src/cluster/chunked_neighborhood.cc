@@ -17,26 +17,37 @@ std::shared_ptr<const traj::SegmentStore> PinChunk(
   return *std::move(chunk);
 }
 
-// Refines query_index against the candidates of chunk c (chunk-local
-// indices) and appends the accepted ones as global indices. The query's own
-// chunk passes the query store itself as the candidate store, so the tile
-// loop applies Definition 4 self-inclusion exactly there.
-void RefineChunk(const traj::ChunkedSegmentStore& store,
-                 const distance::SegmentDistance& dist,
-                 distance::BatchKernel kernel,
-                 const traj::SegmentStore& query_store, size_t query_local,
-                 size_t query_chunk, size_t c,
+// A query's chunk, pinned for the whole query, and its chunk-local index.
+struct PinnedQuery {
+  size_t chunk;
+  size_t local;
+  std::shared_ptr<const traj::SegmentStore> store;
+};
+
+PinnedQuery PinQuery(const traj::ChunkedSegmentStore& store,
+                     size_t query_index) {
+  TRACLUS_DCHECK(query_index < store.size());
+  const size_t c = store.chunk_of(query_index);
+  return PinnedQuery{c, query_index - store.chunk_begin(c), PinChunk(store, c)};
+}
+
+// Refines the query against the candidates of chunk c (chunk-local indices)
+// and appends the accepted ones as global indices. The query's own chunk
+// passes the query store itself as the candidate store, so the tile loop
+// applies Definition 4 self-inclusion exactly there.
+void RefineChunk(const ChunkedBruteForceNeighborhood& scan,
+                 const PinnedQuery& query, size_t c,
                  distance::Candidates candidates, double eps,
                  std::vector<size_t>* out) {
   std::shared_ptr<const traj::SegmentStore> pinned;
-  if (c != query_chunk) pinned = PinChunk(store, c);
+  if (c != query.chunk) pinned = PinChunk(scan.store(), c);
   const traj::SegmentStore& cand_store =
-      c == query_chunk ? query_store : *pinned;
+      c == query.chunk ? *query.store : *pinned;
   const size_t before = out->size();
-  distance::EpsilonRefineTile(dist, query_store,
-                              common::Span<const size_t>(&query_local, 1),
-                              cand_store, candidates, eps, out, kernel);
-  const size_t base = store.chunk_begin(c);
+  distance::EpsilonRefineTile(scan.dist(), *query.store,
+                              common::Span<const size_t>(&query.local, 1),
+                              cand_store, candidates, eps, out, scan.kernel());
+  const size_t base = scan.store().chunk_begin(c);
   for (size_t k = before; k < out->size(); ++k) (*out)[k] += base;
 }
 
@@ -53,15 +64,10 @@ ChunkedBruteForceNeighborhood::ChunkedBruteForceNeighborhood(
 
 std::vector<size_t> ChunkedBruteForceNeighborhood::Neighbors(
     size_t query_index, double eps) const {
-  TRACLUS_DCHECK(query_index < store_.size());
+  const PinnedQuery query = PinQuery(store_, query_index);
   std::vector<size_t> out;
-  const size_t query_chunk = store_.chunk_of(query_index);
-  const size_t query_local = query_index - store_.chunk_begin(query_chunk);
-  const std::shared_ptr<const traj::SegmentStore> query_store =
-      PinChunk(store_, query_chunk);
   for (size_t c = 0; c < store_.num_chunks(); ++c) {
-    RefineChunk(store_, dist_, kernel_, *query_store, query_local,
-                query_chunk, c,
+    RefineChunk(*this, query, c,
                 distance::Candidates::Range(0, store_.chunk_size(c)), eps,
                 &out);
   }
@@ -73,22 +79,16 @@ ChunkedGridNeighborhood::ChunkedGridNeighborhood(
     const distance::SegmentDistance& dist, double cell_size,
     distance::BatchKernel kernel)
     : scan_(store, dist, kernel),
-      store_(store),
-      dist_(dist),
-      kernel_(distance::ResolveBatchKernel(kernel)),
       grid_(store.bboxes(), store.dims(), cell_size) {}
 
 std::vector<size_t> ChunkedGridNeighborhood::Neighbors(size_t query_index,
                                                        double eps) const {
-  TRACLUS_DCHECK(query_index < store_.size());
-  const double factor = dist_.LowerBoundFactor();
+  const double factor = scan_.dist().LowerBoundFactor();
   if (factor <= 0.0) return scan_.Neighbors(query_index, eps);
 
+  const traj::ChunkedSegmentStore& store = scan_.store();
+  const PinnedQuery query = PinQuery(store, query_index);
   std::vector<size_t>& candidates = grid_.Gather(query_index, eps / factor);
-  const size_t query_chunk = store_.chunk_of(query_index);
-  const size_t query_local = query_index - store_.chunk_begin(query_chunk);
-  const std::shared_ptr<const traj::SegmentStore> query_store =
-      PinChunk(store_, query_chunk);
 
   // Group the candidates by chunk (ascending), rewriting each group to
   // chunk-local indices in place and faulting its chunk once. Ascending
@@ -97,14 +97,13 @@ std::vector<size_t> ChunkedGridNeighborhood::Neighbors(size_t query_index,
   std::vector<size_t> out;
   size_t k = 0;
   while (k < candidates.size()) {
-    const size_t c = store_.chunk_of(candidates[k]);
-    const size_t base = store_.chunk_begin(c);
+    const size_t c = store.chunk_of(candidates[k]);
+    const size_t base = store.chunk_begin(c);
     size_t end = k;
-    while (end < candidates.size() && store_.chunk_of(candidates[end]) == c) {
+    while (end < candidates.size() && store.chunk_of(candidates[end]) == c) {
       candidates[end++] -= base;
     }
-    RefineChunk(store_, dist_, kernel_, *query_store, query_local,
-                query_chunk, c,
+    RefineChunk(scan_, query, c,
                 distance::Candidates::List(common::Span<const size_t>(
                     candidates.data() + k, end - k)),
                 eps, &out);

@@ -55,6 +55,10 @@ class ChunkedBruteForceNeighborhood : public NeighborhoodProvider {
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
   size_t size() const override { return store_.size(); }
 
+  const traj::ChunkedSegmentStore& store() const { return store_; }
+  const distance::SegmentDistance& dist() const { return dist_; }
+  distance::BatchKernel kernel() const { return kernel_; }
+
  private:
   const traj::ChunkedSegmentStore& store_;
   const distance::SegmentDistance& dist_;
@@ -76,16 +80,16 @@ class ChunkedGridNeighborhood : public NeighborhoodProvider {
       distance::BatchKernel kernel = distance::BatchKernel::kAuto);
 
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
-  size_t size() const override { return store_.size(); }
+  size_t size() const override { return scan_.size(); }
 
   double cell_size() const { return grid_.cell_size(); }
   size_t NumCells() const { return grid_.NumCells(); }
 
  private:
-  ChunkedBruteForceNeighborhood scan_;  ///< Checks finalization first.
-  const traj::ChunkedSegmentStore& store_;
-  const distance::SegmentDistance& dist_;
-  distance::BatchKernel kernel_;
+  /// The c = 0 fallback; also the one home of the store, distance and
+  /// kernel bindings (and it checks finalization before the grid reads the
+  /// catalog).
+  ChunkedBruteForceNeighborhood scan_;
   SegmentGrid grid_;
 };
 

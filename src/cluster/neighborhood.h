@@ -163,6 +163,10 @@ class BruteForceNeighborhood : public NeighborhoodProvider {
       double eps, common::ThreadPool& pool) const override;
   size_t size() const override { return store_.size(); }
 
+  const traj::SegmentStore& store() const { return store_; }
+  const distance::SegmentDistance& dist() const { return dist_; }
+  distance::BatchKernel kernel() const { return kernel_; }
+
  private:
   const traj::SegmentStore& store_;
   const distance::SegmentDistance& dist_;

@@ -30,7 +30,7 @@ class GridNeighborhoodIndex : public NeighborhoodProvider {
       distance::BatchKernel kernel = distance::BatchKernel::kAuto);
 
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
-  size_t size() const override { return store_.size(); }
+  size_t size() const override { return scan_.size(); }
 
   double cell_size() const { return grid_.cell_size(); }
 
@@ -38,11 +38,10 @@ class GridNeighborhoodIndex : public NeighborhoodProvider {
   size_t NumCells() const { return grid_.NumCells(); }
 
  private:
-  const traj::SegmentStore& store_;
-  const distance::SegmentDistance& dist_;
-  distance::BatchKernel kernel_;
+  /// The c = 0 fallback; also the one home of the store, distance and
+  /// kernel bindings.
+  BruteForceNeighborhood scan_;
   SegmentGrid grid_;
-  BruteForceNeighborhood scan_;  ///< The c = 0 fallback.
 };
 
 }  // namespace traclus::cluster

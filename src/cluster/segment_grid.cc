@@ -71,6 +71,12 @@ std::vector<size_t>& SegmentGrid::Gather(size_t query, double radius) const {
   };
   thread_local Scratch scratch;
   std::vector<uint32_t>& visit_stamp = scratch.visit_stamp;
+  if (visit_stamp.size() > bboxes_.size()) {
+    // A smaller grid than this thread's last: give the surplus back, so a
+    // pool worker retains scratch for the grid it last queried, not the
+    // largest it ever did.
+    scratch = Scratch{};
+  }
   visit_stamp.resize(bboxes_.size(), 0u);
   if (++scratch.stamp == 0) {  // Wrap-around: reset once every 2^32 queries.
     std::fill(visit_stamp.begin(), visit_stamp.end(), 0u);

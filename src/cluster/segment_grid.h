@@ -32,8 +32,11 @@ namespace traclus::cluster {
 /// asymptotics for the densely populated evaluation data sets and far simpler
 /// invariants.
 ///
-/// Immutable after construction. Gather keeps its dedup stamps in per-thread
-/// scratch, so concurrent calls from any number of threads are safe.
+/// Immutable after construction. Gather keeps its dedup stamps (one 32-bit
+/// stamp per segment) and candidate list in per-thread scratch, so
+/// concurrent calls from any number of threads are safe. The scratch
+/// outlives the grid: each thread that queried keeps it, sized for the last
+/// grid it queried, until the thread exits or queries a smaller grid.
 class SegmentGrid {
  public:
   /// `bboxes` (one MBR per segment, all of dimensionality `dims`) must

@@ -147,7 +147,7 @@ std::vector<std::vector<size_t>> ShardGrid::GhostLists(double reach) const {
   }
 
   // Fine raster over the dilated bounding box of the whole store. The fine
-  // cell is sized to the dilation radius (capped so the bitmap stays small):
+  // cell is sized to the dilation radius (capped so the raster stays small):
   // marking an owned segment's reach-dilated box then costs O(box/reach)
   // cells, and the over-cover per side is at most one fine cell.
   const double pad = reach * (1.0 + kGhostSlack);
@@ -165,8 +165,8 @@ std::vector<std::vector<size_t>> ShardGrid::GhostLists(double reach) const {
     lo_all[d] = std::min(*s_lo, *e_lo) - pad;
     hi_all[d] = std::max(*s_hi, *e_hi) + pad;
   }
-  // Cap the per-axis resolution so the bitmap stays ~1 MiB even when reach
-  // is tiny relative to the data extent (2D: 724² ≈ 512 Ki cells; 3D: 80³).
+  // Cap the per-axis resolution so the raster stays at most ~512 Ki cells
+  // even when reach is tiny relative to the data extent (2D: 724²; 3D: 80³).
   const int max_axis_cells = dims_ >= 3 ? 80 : 724;
   double fine = std::max(pad / 2.0, 1e-9);
   for (int d = 0; d < dims_; ++d) {
@@ -185,59 +185,52 @@ std::vector<std::vector<size_t>> ShardGrid::GhostLists(double reach) const {
         static_cast<int64_t>(std::floor((v - lo_all[d]) / fine));
     return std::clamp<int64_t>(c, 0, count[d] - 1);
   };
-
-  // Rasterize every owned segment's reach-dilated bounding box into its
-  // shard's bitmap.
-  std::vector<std::vector<char>> marked(S);
-  for (size_t r = 0; r < S; ++r) {
-    if (!owned_[r].empty()) marked[r].assign(total, 0);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<char>& bits = marked[owner_[i]];
+  // Calls visit(cell) for every fine cell under segment i's bounding box
+  // grown by `grow` on every side.
+  const auto for_each_cell = [&](size_t i, double grow, const auto& visit) {
     int64_t lo[3] = {0, 0, 0};
     int64_t hi[3] = {0, 0, 0};
     for (int d = 0; d < dims_; ++d) {
       const double a = start_c[d][i];
       const double b = end_c[d][i];
-      lo[d] = cell_of(std::min(a, b) - pad, d);
-      hi[d] = cell_of(std::max(a, b) + pad, d);
+      lo[d] = cell_of(std::min(a, b) - grow, d);
+      hi[d] = cell_of(std::max(a, b) + grow, d);
     }
     for (int64_t x = lo[0]; x <= hi[0]; ++x) {
       for (int64_t y = lo[1]; y <= hi[1]; ++y) {
         for (int64_t z = lo[2]; z <= hi[2]; ++z) {
-          bits[static_cast<size_t>((x * count[1] + y) * count[2] + z)] = 1;
+          visit(static_cast<size_t>((x * count[1] + y) * count[2] + z));
         }
       }
+    }
+  };
+
+  // One raster for all shards: per fine cell, the shards whose owned
+  // segments' reach-dilated boxes cover it, ascending and distinct (shards
+  // are rasterized in order). Its size follows the covered cells, not the
+  // shard count.
+  std::vector<std::vector<size_t>> marks(total);
+  for (size_t r = 0; r < S; ++r) {
+    for (const size_t i : owned_[r]) {
+      for_each_cell(i, pad, [&](size_t cell) {
+        std::vector<size_t>& m = marks[cell];
+        if (m.empty() || m.back() != r) m.push_back(r);
+      });
     }
   }
 
   // Segment j is within reach of shard r's owned boxes only if its own
-  // (undilated) box overlaps a marked cell.
+  // (undilated) box overlaps a cell r marked.
+  std::vector<size_t> last_ghosted(S, n);  // Dedup: the last j sent to r.
   for (size_t j = 0; j < n; ++j) {
-    int64_t lo[3] = {0, 0, 0};
-    int64_t hi[3] = {0, 0, 0};
-    for (int d = 0; d < dims_; ++d) {
-      const double a = start_c[d][j];
-      const double b = end_c[d][j];
-      lo[d] = cell_of(std::min(a, b), d);
-      hi[d] = cell_of(std::max(a, b), d);
-    }
     const size_t own = owner_[j];
-    for (size_t r = 0; r < S; ++r) {
-      if (r == own || marked[r].empty()) continue;
-      const std::vector<char>& bits = marked[r];
-      bool in_halo = false;
-      for (int64_t x = lo[0]; x <= hi[0] && !in_halo; ++x) {
-        for (int64_t y = lo[1]; y <= hi[1] && !in_halo; ++y) {
-          for (int64_t z = lo[2]; z <= hi[2] && !in_halo; ++z) {
-            in_halo =
-                bits[static_cast<size_t>((x * count[1] + y) * count[2] + z)] !=
-                0;
-          }
-        }
+    for_each_cell(j, 0.0, [&](size_t cell) {
+      for (const size_t r : marks[cell]) {
+        if (r == own || last_ghosted[r] == j) continue;
+        last_ghosted[r] = j;
+        ghosts[r].push_back(j);
       }
-      if (in_halo) ghosts[r].push_back(j);
-    }
+    });
   }
   // Each ghosts[r] is ascending (outer loop visits j in index order).
   return ghosts;

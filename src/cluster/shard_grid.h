@@ -24,18 +24,21 @@
 // bound evaluated on a FINE uniform grid, decoupled from the coarse
 // ownership cells (whose resolution is sized for load balancing, far too
 // coarse for a tight halo): each owned segment's axis-aligned bounding box,
-// dilated by reach, is rasterized into a per-shard bitmap, and segment j is
-// ghosted to r when j's own bounding box overlaps a marked cell of r's
-// bitmap. Soundness: dist(Li, Lj) ≤ ε implies the Euclidean
-// mindist(seg_i, seg_j) ≤ reach (the Lemma 3 style lower bound), hence
-// mindist(MBR_i, MBR_j) ≤ reach, hence MBR_j intersects MBR_i ⊕ reach, whose
-// cell cover is marked — so every true ε-neighbor lands in the halo; cell
-// rasterization only ever over-covers (by up to one fine cell per side), and
-// the dilation carries a relative slack of 1e-9 so boundary cases stay
-// inclusive. Per-segment boxes keep one long segment from widening the whole
-// shard's halo: only the corridor it actually spans is marked. The result is
-// a pure function of (store, num_shards, cell_size, reach) — independent of
-// thread count and evaluation order.
+// dilated by reach, is rasterized into one shared raster that records, per
+// fine cell, the shards whose boxes cover it, and segment j is ghosted to r
+// when j's own bounding box overlaps a cell r covers. The raster grows with
+// the covered cells, not with the shard count. Soundness: dist(Li, Lj) ≤ ε
+// implies the Euclidean mindist(seg_i, seg_j) ≤ reach (the Lemma 3 style
+// lower bound), hence mindist(MBR_i, MBR_j) ≤ reach, hence MBR_j intersects
+// MBR_i ⊕ reach, whose cell cover is marked — so every true ε-neighbor lands
+// in the halo; cell rasterization only ever over-covers (by up to one fine
+// cell per side), and the dilation carries a relative slack of 1e-9 so
+// boundary cases stay inclusive. Per-segment boxes keep one long segment
+// from widening the whole shard's halo: only the corridor it actually spans
+// is marked. The result is a pure function of (store, num_shards,
+// cell_size, reach) — independent of thread count and evaluation order. A
+// degenerate factor ghosts all n segments to every occupied shard, so that
+// case alone costs O(n) per shard.
 //
 // Tightness: on the hurricane corpus (ε = 0.94, heavy-tailed segment
 // lengths) this bound measures within a few percent of the exact

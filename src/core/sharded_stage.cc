@@ -40,13 +40,19 @@ void Report(const RunContext& ctx, const char* stage, double fraction) {
 /// superstep 2. Each slot is written only by the pool task running that
 /// rank; the driver reads between supersteps (the pool's blocking
 /// ParallelFor is the barrier), so no per-slot locking is needed.
+///
+/// Only owned-sized state outlives superstep 1 (the shard-local store and
+/// the ghosts' labels are dropped there), so what the run keeps is
+/// proportional to the data plus the border ε-pairs, not to S times the
+/// halo.
 struct ShardState {
   common::Status status = common::Status::OK();
-  /// Local index → global index: owned segments (ascending) then ghosts
-  /// (ascending).
-  std::vector<size_t> global_of;
   size_t owned_count = 0;
-  cluster::ClusteringResult local;
+  /// Post-dissolution local label of each owned segment (local index =
+  /// position in the shard's ascending owned list).
+  std::vector<int> labels;
+  /// Number of shard-local clusters (provisional ids are offset by it).
+  size_t num_clusters = 0;
   /// Per owned local index: its ε-neighbors among the ghost tail (local
   /// indices into [owned_count, local size)), ascending. Empty ⇒ interior.
   std::vector<std::vector<size_t>> ghost_neighbors;
@@ -135,11 +141,13 @@ common::Status ShardedGroupStage::Validate() const {
 
 common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     const traj::SegmentStore& store, const RunContext& ctx) const {
-  // More shards than segments own nothing more: the balanced split already
-  // gives every occupied cell its own shard at S = n. Clamping keeps the
-  // per-shard state sized by the data, not by the caller's count.
+  // S is capped at ⌈√n⌉ (see ShardedGroupOptions::shards), so the S² peer
+  // pairs and the per-shard slots stay O(n) whatever count the caller asks
+  // for.
   const size_t n = store.size();
-  const size_t S = std::min(options_.shards, std::max<size_t>(1, n));
+  size_t max_shards = static_cast<size_t>(std::sqrt(static_cast<double>(n)));
+  while (max_shards * max_shards < n) ++max_shards;
+  const size_t S = std::min(options_.shards, std::max<size_t>(1, max_shards));
   if (S <= 1 || n == 0) {
     // Sharding disabled: the decorator is transparent, byte for byte.
     return inner_->Run(store, ctx);
@@ -159,6 +167,16 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
                            ? options_.eps / factor
                            : std::numeric_limits<double>::infinity();
   const std::vector<std::vector<size_t>> ghosts = grid.GhostLists(reach);
+  // Export lists: for each owner s, the (peer r, segment j) pairs with j
+  // owned by s and ghosted to r, ascending by (r, j). Shard s sends one
+  // record batch to each peer that ghosts something of its own, so the
+  // exchange scales with the halo, not with S².
+  std::vector<std::vector<std::pair<size_t, size_t>>> exports(S);
+  for (size_t r = 0; r < S; ++r) {
+    for (const size_t j : ghosts[r]) {
+      exports[grid.owner_of(j)].emplace_back(r, j);
+    }
+  }
 
   // Per-shard inner runs: single-threaded (shard-level parallelism only —
   // nested pool use from a worker would deadlock), progress muted
@@ -174,55 +192,45 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   common::ThreadPool& pool = common::SharedPool(ctx.num_threads);
 
   // --- Superstep 1: shard-local clustering, border analysis, sends. ------
-  // Every rank ends by sending one record batch to every peer (possibly
-  // empty); the blocking ParallelFor is the BSP barrier that orders those
-  // sends before superstep 2's receives.
+  // Every rank ends by sending one record batch (possibly empty) to each of
+  // its export peers; the blocking ParallelFor is the BSP barrier that
+  // orders those sends before superstep 2's receives.
   pool.ParallelFor(0, S, [&](size_t s) {
     ShardState& st = states[s];
     ShardCommunicator& comm = comm_group.comm(static_cast<int>(s));
     const std::vector<size_t>& owned = grid.owned()[s];
     const std::vector<size_t>& ghost = ghosts[s];
     st.owned_count = owned.size();
+    // Owns nothing, so no peer ghosts anything of it: no sends either.
+    if (owned.empty()) return;
 
     const auto send_all = [&](bool empty_only) {
-      for (size_t r = 0; r < S; ++r) {
-        if (r == s) continue;
+      const std::vector<std::pair<size_t, size_t>>& ex = exports[s];
+      size_t k = 0;
+      while (k < ex.size()) {
+        const size_t r = ex[k].first;
+        // Records for owned(s) ∩ ghosts(r), ascending by global index.
         std::vector<uint64_t> payload;
-        if (!empty_only) {
-          // Records for owned(s) ∩ ghosts(r), ascending by global index
-          // (ghosts[r] is ascending).
-          for (const size_t j : ghosts[r]) {
-            if (grid.owner_of(j) != s) continue;
-            const size_t li = LocalIndexOf(owned, j);
-            payload.push_back(static_cast<uint64_t>(j));
-            payload.push_back(static_cast<uint64_t>(
-                static_cast<int64_t>(st.local.labels[li])));
-            payload.push_back(st.core[li] ? 1u : 0u);
-          }
+        for (; k < ex.size() && ex[k].first == r; ++k) {
+          if (empty_only) continue;
+          const size_t j = ex[k].second;
+          const size_t li = LocalIndexOf(owned, j);
+          payload.push_back(static_cast<uint64_t>(j));
+          payload.push_back(
+              static_cast<uint64_t>(static_cast<int64_t>(st.labels[li])));
+          payload.push_back(st.core[li] ? 1u : 0u);
         }
         comm.Send(static_cast<int>(r), kBorderTag, std::move(payload));
       }
     };
 
-    if (owned.empty()) {
-      send_all(/*empty_only=*/true);
-      return;
-    }
-
     // Shard-local store: owned segments then ghosts, each ascending. The
     // rebuilt invariant cache is bit-identical to the global store's for the
     // same segments (CanonicalizeInStore is a pure per-segment function).
-    st.global_of.reserve(owned.size() + ghost.size());
     std::vector<geom::Segment> segments;
     segments.reserve(owned.size() + ghost.size());
-    for (const size_t i : owned) {
-      st.global_of.push_back(i);
-      segments.push_back(store.segment(i));
-    }
-    for (const size_t j : ghost) {
-      st.global_of.push_back(j);
-      segments.push_back(store.segment(j));
-    }
+    for (const size_t i : owned) segments.push_back(store.segment(i));
+    for (const size_t j : ghost) segments.push_back(store.segment(j));
     const traj::SegmentStore local_store =
         traj::SegmentStore::FromSegments(std::move(segments));
     const size_t local_size = local_store.size();
@@ -233,12 +241,12 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
       send_all(/*empty_only=*/true);  // Keep the exchange well-formed.
       return;
     }
-    st.local = *std::move(inner_result);
+    const cluster::ClusteringResult& local = *inner_result;
 #ifndef NDEBUG
     // The merge indexes clusters by label value; both shipped backends
     // number clusters densely as their index.
-    for (size_t c = 0; c < st.local.clusters.size(); ++c) {
-      TRACLUS_DCHECK(st.local.clusters[c].id == static_cast<int>(c));
+    for (size_t c = 0; c < local.clusters.size(); ++c) {
+      TRACLUS_DCHECK(local.clusters[c].id == static_cast<int>(c));
     }
 #endif
 
@@ -286,9 +294,10 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     // reachable only through ghost seeds dissolve; their owned members are
     // all within ε of a globally-core ghost, so the attach pass below
     // re-homes every one of them.
-    std::vector<char> survives(st.local.clusters.size(), 0);
-    for (size_t c = 0; c < st.local.clusters.size(); ++c) {
-      for (const size_t m : st.local.clusters[c].member_indices) {
+    st.num_clusters = local.clusters.size();
+    std::vector<char> survives(st.num_clusters, 0);
+    for (size_t c = 0; c < st.num_clusters; ++c) {
+      for (const size_t m : local.clusters[c].member_indices) {
         if (m >= st.owned_count) continue;
         if (st.ghost_neighbors[m].empty() || st.core[m]) {
           survives[c] = 1;
@@ -297,10 +306,11 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
       }
       if (!survives[c]) ++st.dissolved;
     }
-    for (size_t i = 0; i < st.owned_count; ++i) {
-      const int label = st.local.labels[i];
+    st.labels.assign(local.labels.begin(),
+                     local.labels.begin() + st.owned_count);
+    for (int& label : st.labels) {
       if (label >= 0 && !survives[static_cast<size_t>(label)]) {
-        st.local.labels[i] = cluster::kNoise;
+        label = cluster::kNoise;
       }
     }
 
@@ -317,7 +327,7 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   // Provisional cluster ids: shard s's local cluster c ↦ offset[s] + c.
   std::vector<size_t> offset(S + 1, 0);
   for (size_t s = 0; s < S; ++s) {
-    offset[s + 1] = offset[s] + states[s].local.clusters.size();
+    offset[s + 1] = offset[s] + states[s].num_clusters;
   }
   const size_t total_provisional = offset[S];
 
@@ -332,8 +342,12 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     };
     const std::vector<size_t>& ghost = ghosts[s];
     std::vector<GhostInfo> info(ghost.size());
-    for (size_t r = 0; r < S; ++r) {
-      if (r == s) continue;
+    // One batch from each owner of a ghost of s (its export peers).
+    std::vector<size_t> sources;
+    for (const size_t j : ghost) sources.push_back(grid.owner_of(j));
+    std::sort(sources.begin(), sources.end());
+    sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+    for (const size_t r : sources) {
       const std::vector<uint64_t> payload =
           comm.Recv(static_cast<int>(r), kBorderTag);
       TRACLUS_CHECK(payload.size() % kRecordWords == 0);
@@ -350,7 +364,7 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     // neighbor list is ascending too, so "earliest globally-core ghost
     // neighbor" is the first core hit — part of the determinism contract.
     for (size_t i = 0; i < st.owned_count; ++i) {
-      const int label = st.local.labels[i];
+      const int label = st.labels[i];
       const bool is_core = st.core.empty() ? false : st.core[i] != 0;
       size_t attach_to = static_cast<size_t>(-1);
       for (const size_t g : st.ghost_neighbors[i]) {
@@ -370,7 +384,7 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
         }
       }
       if (label < 0 && attach_to != static_cast<size_t>(-1)) {
-        st.attaches.emplace_back(st.global_of[i], attach_to);
+        st.attaches.emplace_back(grid.owned()[s][i], attach_to);
       }
     }
   });
@@ -395,9 +409,9 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   for (size_t s = 0; s < S; ++s) {
     const ShardState& st = states[s];
     for (size_t i = 0; i < st.owned_count; ++i) {
-      const int label = st.local.labels[i];
+      const int label = st.labels[i];
       if (label >= 0) {
-        provisional[st.global_of[i]] =
+        provisional[grid.owned()[s][i]] =
             static_cast<int64_t>(offset[s] + static_cast<size_t>(label));
       }
     }

@@ -15,6 +15,9 @@
 // and the shards run concurrently across the RunContext's threads — shard
 // count S is a decomposition knob (ShardedGroupOptions::shards), thread count
 // an execution knob (RunContext::num_threads); any combination is valid.
+// The halo exchange sends one record batch per (owner, ghosting peer) pair,
+// so its traffic follows the halo, never all S² pairs; S itself is capped at
+// ⌈√n⌉ (ShardedGroupOptions::shards).
 //
 // Exactness (DBSCAN inner backend): a shard-local DBSCAN over owned + ghost
 // segments computes the exact global core status of every owned segment
@@ -106,8 +109,10 @@ struct ShardedGroupOptions {
   /// clusters are merged through a halo exchange behind the communicator
   /// seam (core/shard_comm.h). 0 or 1 disables sharding (the inner backend
   /// runs on everything, byte-identically to using it directly). A count
-  /// above the segment count n runs as S = n, which already gives every
-  /// occupied cell its own shard.
+  /// above ⌈√n⌉ for n segments runs as S = ⌈√n⌉: past that, shards hold
+  /// fewer segments than they have peers, the S² peer pairs outgrow the
+  /// data, and each segment is copied into the halo of ever more shards
+  /// (S = n on the 8.7k-segment hurricane corpus peaked at 2.1 GB).
   size_t shards = 0;
   /// Neighborhood radius ε (Definition 4) of the inner clustering — drives
   /// the halo width, the border tiles, and the merge predicate. Must be

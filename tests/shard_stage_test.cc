@@ -299,10 +299,9 @@ TEST(ShardStageTest, RandomizedCorpusMatchesUnshardedModuloBorders) {
   }
 }
 
-TEST(ShardStageTest, ShardCountsAboveTheSegmentCountRunAsOnePerSegment) {
-  // S ≥ n shards own nothing more than n do, so any larger count must give
-  // the S = n clustering — including counts far too large to size per-shard
-  // state by.
+TEST(ShardStageTest, ShardCountsAboveRootNRunAsRootN) {
+  // The stage caps S at ⌈√n⌉, so any larger count must give the S = ⌈√n⌉
+  // clustering — including counts far too large to size per-shard state by.
   std::vector<Segment> segments;
   for (size_t i = 0; i < 24; ++i) {
     const double x = static_cast<double>(i % 12) * 0.5;
@@ -317,13 +316,22 @@ TEST(ShardStageTest, ShardCountsAboveTheSegmentCountRunAsOnePerSegment) {
   DbscanGroupOptions group;
   group.eps = 2.0;
   group.min_lns = 4.0;
-  const auto expect = MakeShardedStage(group, n).Run(store, RunContext{});
+  const size_t root = 5;  // ⌈√24⌉
+  ASSERT_EQ(n, 24u);
+  ShardedRunStats expect_stats;
+  const auto expect =
+      MakeShardedStage(group, root, &expect_stats).Run(store, RunContext{});
   ASSERT_TRUE(expect.ok()) << expect.status().ToString();
   ASSERT_EQ(expect->clusters.size(), 2u);
-  for (const size_t shards : {10 * n, size_t{1} << 62}) {
-    const auto got = MakeShardedStage(group, shards).Run(store, RunContext{});
+  ASSERT_GT(expect_stats.shards_run, 1u);
+  for (const size_t shards : {root + 1, n, 10 * n, size_t{1} << 62}) {
+    ShardedRunStats stats;
+    const auto got =
+        MakeShardedStage(group, shards, &stats).Run(store, RunContext{});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectSameClustering(*got, *expect);
+    EXPECT_EQ(stats.shards_run, expect_stats.shards_run);
+    EXPECT_EQ(stats.ghost_segments, expect_stats.ghost_segments);
   }
 }
 
