@@ -216,7 +216,8 @@ int Usage() {
       "  --shards S:  sharded grouping — decompose the segments over a cell\n"
       "               grid into S shards, cluster each independently (in\n"
       "               parallel), and merge clusters across shard borders\n"
-      "               (0 or 1 disables; deterministic for a fixed S).\n"
+      "               (0 or 1 disables; deterministic for a fixed S;\n"
+      "               S above ceil(sqrt(n)) for n segments runs as that).\n"
       "  --progress:  stream per-stage progress to stderr.\n"
       "  --stream:    streaming ingest — partition trajectories as they\n"
       "               arrive instead of loading the whole file first.\n"
